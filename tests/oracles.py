@@ -114,6 +114,36 @@ def oracle_z_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
     return min_kappa(a_bits & b_bits) < min_kappa(a_bits - b_bits)
 
 
+def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
+    """System W decision from the paper's definition: A |~ B iff every
+    A-and-not-B world has a strictly preferred A-and-B world. A world is
+    strictly preferred to another iff, at the highest layer where their
+    falsified sets differ, its falsified set is a proper subset."""
+    layers = oracle_tolerance_partition(base)
+    assert layers is not None
+    a_bits = oracle_model_bits(a)
+    b_bits = oracle_model_bits(b)
+
+    def falsified(bits):
+        asg = assignment_of_bits(base.signature, bits)
+        return [
+            frozenset(i for i in layer if oracle_falsifies(base[i], asg))
+            for layer in layers
+        ]
+
+    xi = {w: falsified(w) for w in a_bits}
+
+    def preferred(w, w2):
+        for mine, theirs in zip(reversed(xi[w]), reversed(xi[w2])):
+            if mine != theirs:
+                return mine < theirs
+        return False
+
+    return all(
+        any(preferred(w, w2) for w in a_bits & b_bits) for w2 in a_bits - b_bits
+    )
+
+
 # --- random formula / belief base generation ---------------------------------
 
 

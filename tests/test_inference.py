@@ -1,8 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from systemw import (
     BeliefBase,
     Engine,
+    Formula,
     InconsistentBeliefBaseError,
     InferenceMode,
     Signature,
@@ -14,7 +18,14 @@ from systemw import (
     parse_formula,
 )
 
-from oracles import oracle_z_entails, random_consistent_base
+from systemw.splitting import PartScope
+
+from oracles import (
+    oracle_w_entails,
+    oracle_z_entails,
+    random_consistent_base,
+    random_node,
+)
 
 
 def fm(base, text):
@@ -137,17 +148,61 @@ def test_inconsistent_base_raises(example1):
 
 
 def test_z_matches_oracle_on_random_bases():
-    import random
-
     for seed in range(10):
         base = random_consistent_base(seed + 100, max_atoms=3, max_conds=3)
         rng = random.Random(seed)
         engine = Engine(base, InferenceMode.Z)
         full = base.signature.full_mask
-        from systemw.splitting import PartScope
-
         scope = PartScope(base.signature, base.signature.atoms)
         for _ in range(15):
             ta, tb = rng.randrange(full + 1), rng.randrange(full + 1)
             a, b = scope.formula(ta), scope.formula(tb)
             assert engine.entails(a, b) == oracle_z_entails(base, a, b)
+
+
+def random_queries(base, seed):
+    """Query pairs on a base: two random formulas, one conditional of the
+    base, that conditional with a strengthened antecedent, and three probes
+    of whether a world is minimal in a set A of worlds that falsify some
+    conditional (A against A without that world)."""
+    rng = random.Random(seed)
+    sig = base.signature
+
+    def formula():
+        return Formula(sig, random_node(rng, sig.atoms, 3))
+
+    queries = [(formula(), formula())]
+    if len(base):
+        c = base[rng.choice(list(base.indices()))]
+        queries.append((c.antecedent, c.consequent))
+        queries.append((c.antecedent.conj(formula()), c.consequent))
+    scope = PartScope(sig, sig.atoms)
+    fals = 0
+    for c in base:
+        fals |= c.falsification_mask
+    pool = [w for w in range(sig.num_worlds) if (fals >> w) & 1] or [0]
+    for _ in range(3):
+        worlds = rng.sample(pool, min(len(pool), rng.randint(2, 12)))
+        a = sum(1 << w for w in worlds)
+        b = a & ~(1 << rng.choice(worlds))
+        queries.append((scope.formula(a), scope.formula(b)))
+    return queries
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_w_matches_oracle_on_random_bases(base_seed, query_seed):
+    base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
+    engine = Engine(base, InferenceMode.W)
+    for a, b in random_queries(base, query_seed):
+        assert engine.entails(a, b) == oracle_w_entails(base, a, b)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_z_implies_w_on_random_bases(base_seed, query_seed):
+    base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
+    z = Engine(base, InferenceMode.Z)
+    w = Engine(base, InferenceMode.W)
+    for a, b in random_queries(base, query_seed):
+        assert not z.entails(a, b) or w.entails(a, b)
