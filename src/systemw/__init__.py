@@ -29,14 +29,7 @@ from .tolerance import (
     is_tolerated,
     tolerance_partition,
 )
-from .preferred import (
-    Comparison,
-    PreferredStructure,
-    XiProfile,
-    build_order,
-    compare_worlds,
-    xi_profile,
-)
+from .preferred import Comparison, PreferredStructure
 from .inference import Engine, InferenceMode, infer, infer_p, infer_w, infer_z
 from .splitting import (
     GenerationError,
@@ -74,8 +67,6 @@ __all__ = [
     "TolerancePartition",
     "UnknownAtomError",
     "World",
-    "XiProfile",
-    "build_order",
     "check_di",
     "check_ind",
     "check_lemma1",
@@ -85,7 +76,6 @@ __all__ = [
     "check_rel",
     "check_synsplit",
     "check_tv",
-    "compare_worlds",
     "detect_splitting",
     "evaluate_conditional",
     "generate_split_base",
@@ -101,7 +91,6 @@ __all__ = [
     "parse_conditional",
     "parse_formula",
     "tolerance_partition",
-    "xi_profile",
 ]
 
 __version__ = "0.1.0"

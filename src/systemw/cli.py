@@ -139,8 +139,9 @@ def cmd_order(args) -> int:
         print(ps.to_dot())
     else:
         sig = base.signature
+        labels = [sig.render_world(w) for w in range(sig.num_worlds)]
         for w, w2 in sorted(ps.pairs()):
-            print(f"{sig.render_world(w)}\t{sig.render_world(w2)}")
+            print(f"{labels[w]}\t{labels[w2]}")
     return EXIT_YES
 
 

@@ -17,8 +17,6 @@ from .tolerance import (
     tolerance_partition,
 )
 
-INF = float("inf")
-
 
 class InferenceMode(Enum):
     W = "w"
@@ -30,7 +28,8 @@ class Engine:
     """Answers entailment queries for one belief base under one mode.
 
     Mode-specific state (preferred structure, Z ranks, tolerance mask pairs)
-    is computed once; queries are then cheap and may run concurrently.
+    is computed once. W caches the minimal worlds of each antecedent mask on
+    first use; a cached value depends only on its key.
     """
 
     def __init__(
@@ -49,28 +48,25 @@ class Engine:
         self.partition = partition
         if mode is InferenceMode.W:
             self._ps = PreferredStructure(base, partition=partition)
-            self._dom_union_memo: dict = {0: 0}
+            self._minimal: dict = {}  # antecedent mask -> its minimal worlds
         elif mode is InferenceMode.Z:
-            self._kappa = self._z_ranks()
+            # World mask per rank, where a world's rank is 1 + the highest
+            # layer in which it falsifies a conditional (0 if none).
+            self._ranks = []
+            above = 0
+            for layer in reversed(partition.layers):
+                fals = 0
+                for i in layer:
+                    fals |= base[i].falsification_mask
+                self._ranks.append(fals & ~above)
+                above |= fals
+            self._ranks.append(self.full & ~above)
+            self._ranks.reverse()
         else:
             self._pairs = [
                 (base[i].verification_mask, base[i].falsification_mask)
                 for i in self._indices
             ]
-
-    def _z_ranks(self) -> list:
-        n = self.base.signature.num_worlds
-        kappa = [0] * n
-        for j, layer in enumerate(self.partition.layers):
-            for i in layer:
-                fm = self.base[i].falsification_mask
-                while fm:
-                    low = fm & -fm
-                    w = low.bit_length() - 1
-                    if kappa[w] < j + 1:
-                        kappa[w] = j + 1
-                    fm ^= low
-        return kappa
 
     @property
     def preferred_structure(self) -> PreferredStructure:
@@ -78,28 +74,11 @@ class Engine:
             raise ValueError("preferred structure is built for mode W only")
         return self._ps
 
-    def _dom_union(self, mask: int) -> int:
-        """Worlds strictly above some world of `mask`."""
-        memo = self._dom_union_memo
-        got = memo.get(mask)
-        if got is None:
-            low = mask & -mask
-            got = memo[mask] = (
-                self._dom_union(mask ^ low) | self._ps.dominated[low.bit_length() - 1]
-            )
-        return got
-
-    def _min_kappa(self, mask: int):
-        best = INF
-        while mask:
-            low = mask & -mask
-            k = self._kappa[low.bit_length() - 1]
-            if k < best:
-                best = k
-                if best == 0:
-                    return 0
-            mask ^= low
-        return best
+    def _min_rank(self, mask: int) -> int:
+        for r, worlds in enumerate(self._ranks):
+            if worlds & mask:
+                return r
+        return len(self._ranks)
 
     def entails_masks(self, a: int, b: int) -> bool:
         full = self.full
@@ -107,12 +86,15 @@ class Engine:
         b &= full
         if a == 0:
             return True
-        ab = a & b
-        anb = a & ~b & full
         if self.mode is InferenceMode.W:
-            return anb & ~self._dom_union(ab) & full == 0
+            low = self._minimal.get(a)
+            if low is None:
+                low = self._minimal[a] = self._ps.minimal(a)
+            return low & ~b == 0
+        ab = a & b
+        anb = a & ~b
         if self.mode is InferenceMode.Z:
-            return self._min_kappa(ab) < self._min_kappa(anb)
+            return self._min_rank(ab) < self._min_rank(anb)
         # p-entailment: the base extended with (!B|A) must be inconsistent.
         extended = self._pairs + [(anb, ab)]
         return _partition_pairs(extended, full) is None

@@ -4,21 +4,18 @@ partial order they induce.
 A world's profile is one bitmask per tolerance layer (bit i set iff the world
 falsifies conditional i of that layer). One world precedes another iff, at the
 highest layer where their profiles differ, its falsified set is a strict
-subset of the other's.
+subset of the other's. Worlds with equal profiles are interchangeable, so the
+structure is kept as a list of profile classes, each a (profile, world mask)
+pair, sorted so that every class comes before every class above it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .logic import BeliefBase, World
+from .logic import BeliefBase
 from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
-
-# Above this many worlds the full relation is not materialized; comparisons
-# are still served per query.
-MATRIX_WORLD_LIMIT = 1 << 14
 
 
 class Comparison(Enum):
@@ -28,34 +25,29 @@ class Comparison(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class XiProfile:
-    """Falsified conditionals per tolerance layer, plus their union."""
-
-    per_layer: tuple
-    total: frozenset
-
-
-def _compare_profiles(p: tuple, q: tuple) -> Comparison:
-    # Scan from the top layer down; the first differing layer decides.
+def _less(p: tuple, q: tuple) -> bool:
+    """Profile p strictly below profile q: the highest differing layer decides."""
     for j in range(len(p) - 1, -1, -1):
-        a, b = p[j], q[j]
-        if a == b:
-            continue
-        if a & ~b == 0:
-            return Comparison.STRICTLY_LESS
-        if b & ~a == 0:
-            return Comparison.STRICTLY_GREATER
-        return Comparison.INCOMPARABLE
-    return Comparison.EQUAL_PROFILE
+        if p[j] != q[j]:
+            return p[j] & ~q[j] == 0
+    return False
+
+
+def _bits(mask: int) -> list:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
-    `dominators[w]` is the bitmask of worlds strictly below w and
-    `dominated[w]` the bitmask of worlds strictly above w (materialized only
-    up to MATRIX_WORLD_LIMIT worlds).
+    `classes` lists the profile classes as (per-layer profile, world mask)
+    pairs, with every class before the classes above it. The relation between
+    classes is computed on first use.
     """
 
     def __init__(
@@ -71,91 +63,107 @@ class PreferredStructure:
         self.base = base
         self.signature = base.signature
         self.partition = partition
-        self._layer_members = [sorted(layer) for layer in partition.layers]
-        self._fals = [base[i].falsification_mask for i in base.indices()]
-        n = self.signature.num_worlds
-        self.materialized = n <= MATRIX_WORLD_LIMIT
-        self._profiles: list | dict
-        if self.materialized:
-            self._profiles = [self._profile_bits(w) for w in range(n)]
-            self._build_relation()
-        else:
-            self._profiles = {}
+        classes = [((), self.signature.full_mask)]
+        for layer in partition.layers:
+            split = [(prof, 0, m) for prof, m in classes]
+            for i in sorted(layer):
+                fals, bit = base[i].falsification_mask, 1 << i
+                nxt = []
+                for prof, xi, m in split:
+                    hit = m & fals
+                    if hit:
+                        nxt.append((prof, xi | bit, hit))
+                    if hit != m:
+                        nxt.append((prof, xi, m ^ hit))
+                split = nxt
+            classes = [(prof + (xi,), m) for prof, xi, m in split]
+        # A class strictly below another has a smaller falsified set at the
+        # deciding layer and equal sets above it, so it sorts first.
+        classes.sort(key=lambda c: [xi.bit_count() for xi in reversed(c[0])])
+        self.classes = classes
+        self._down = self._up = self._down_w = self._up_w = None
 
-    def _profile_bits(self, w: int) -> tuple:
-        prof = []
-        for members in self._layer_members:
-            xi = 0
-            for i in members:
-                if (self._fals[i] >> w) & 1:
-                    xi |= 1 << i
-            prof.append(xi)
-        return tuple(prof)
+    def _class_of(self, w: int) -> int:
+        for c, (_, m) in enumerate(self.classes):
+            if (m >> w) & 1:
+                return c
+        raise IndexError(w)
 
-    def profile_bits(self, w: int) -> tuple:
-        if self.materialized:
-            return self._profiles[w]
-        prof = self._profiles.get(w)
-        if prof is None:
-            prof = self._profiles[w] = self._profile_bits(w)
-        return prof
-
-    def _build_relation(self):
-        n = self.signature.num_worlds
-        groups: dict = {}
-        for w in range(n):
-            groups.setdefault(self._profiles[w], 0)
-            groups[self._profiles[w]] |= 1 << w
-        items = list(groups.items())
-        dom_by_prof = {p: 0 for p, _ in items}  # worlds strictly below any p-world
-        up_by_prof = {p: 0 for p, _ in items}  # worlds strictly above any p-world
-        for a in range(len(items)):
-            pa, ma = items[a]
-            for b in range(a + 1, len(items)):
-                pb, mb = items[b]
-                cmp = _compare_profiles(pa, pb)
-                if cmp is Comparison.STRICTLY_LESS:
-                    dom_by_prof[pb] |= ma
-                    up_by_prof[pa] |= mb
-                elif cmp is Comparison.STRICTLY_GREATER:
-                    dom_by_prof[pa] |= mb
-                    up_by_prof[pb] |= ma
-        self.dominators = [dom_by_prof[self._profiles[w]] for w in range(n)]
-        self.dominated = [up_by_prof[self._profiles[w]] for w in range(n)]
+    def _relate(self) -> None:
+        """Fill in the class relation: per class, the classes strictly below
+        and above it as bitsets of class indices, and the worlds they hold."""
+        if self._down is not None:
+            return
+        classes = self.classes
+        down, up = [0] * len(classes), [0] * len(classes)
+        down_w, up_w = [0] * len(classes), [0] * len(classes)
+        for c, (prof, m) in enumerate(classes):
+            for d in range(c):
+                if _less(classes[d][0], prof):
+                    down[c] |= 1 << d
+                    up[d] |= 1 << c
+                    down_w[c] |= classes[d][1]
+                    up_w[d] |= m
+        self._up, self._down_w, self._up_w = up, down_w, up_w
+        self._down = down  # set last: it marks the relation as filled in
 
     # --- queries -------------------------------------------------------------
 
+    def profile_bits(self, w: int) -> tuple:
+        return self.classes[self._class_of(w)][0]
+
     def compare(self, w: int, w2: int) -> Comparison:
-        return _compare_profiles(self.profile_bits(w), self.profile_bits(w2))
+        p, q = self.profile_bits(w), self.profile_bits(w2)
+        if p == q:
+            return Comparison.EQUAL_PROFILE
+        if _less(p, q):
+            return Comparison.STRICTLY_LESS
+        if _less(q, p):
+            return Comparison.STRICTLY_GREATER
+        return Comparison.INCOMPARABLE
 
     def less(self, w: int, w2: int) -> bool:
-        if self.materialized:
-            return bool((self.dominators[w2] >> w) & 1)
         return self.compare(w, w2) is Comparison.STRICTLY_LESS
 
-    def minimal_mask(self) -> int:
-        """Bitmask of worlds with no world strictly below them."""
-        mask = 0
-        for w in range(self.signature.num_worlds):
-            if self.dominators[w] == 0:
-                mask |= 1 << w
-        return mask
+    def below(self, w: int) -> int:
+        """Bitmask of worlds strictly below w."""
+        self._relate()
+        return self._down_w[self._class_of(w)]
+
+    def above(self, w: int) -> int:
+        """Bitmask of worlds strictly above w."""
+        self._relate()
+        return self._up_w[self._class_of(w)]
+
+    def minimal(self, mask: int) -> int:
+        """Worlds of `mask` with no world of `mask` strictly below them."""
+        kept = []
+        low = 0
+        for prof, m in self.classes:
+            if m & mask and not any(_less(k, prof) for k in kept):
+                kept.append(prof)
+                low |= m
+        return low & mask
 
     def pairs(self) -> Iterator[tuple]:
         """All related pairs (w, w2) with w strictly below w2."""
-        for w2 in range(self.signature.num_worlds):
-            doms = self.dominators[w2]
-            while doms:
-                low = doms & -doms
-                yield (low.bit_length() - 1, w2)
-                doms ^= low
+        self._relate()
+        for c, (_, m) in enumerate(self.classes):
+            lower = _bits(self._down_w[c])
+            for w2 in _bits(m):
+                for w in lower:
+                    yield (w, w2)
 
     def hasse_edges(self) -> set:
         """Transitive reduction: pairs (w, w2) with nothing strictly between."""
+        self._relate()
         edges = set()
-        for w, w2 in self.pairs():
-            if self.dominated[w] & self.dominators[w2] == 0:
-                edges.add((w, w2))
+        for c, (_, m) in enumerate(self.classes):
+            for d in _bits(self._down[c]):
+                if self._up[d] & self._down[c] == 0:
+                    edges.update(
+                        (w, w2) for w in _bits(self.classes[d][1]) for w2 in _bits(m)
+                    )
         return edges
 
     def to_dot(self) -> str:
@@ -168,29 +176,3 @@ class PreferredStructure:
             lines.append(f"  w{hi} -> w{lo};")
         lines.append("}")
         return "\n".join(lines)
-
-
-def xi_profile(
-    base: BeliefBase, partition: TolerancePartition, world: World
-) -> XiProfile:
-    """Falsification profile of a world: per-layer and total falsified sets."""
-    w = world.bits
-    per_layer = []
-    total = set()
-    for layer in partition.layers:
-        fals = frozenset(
-            i for i in layer if (base[i].falsification_mask >> w) & 1
-        )
-        per_layer.append(fals)
-        total |= fals
-    return XiProfile(tuple(per_layer), frozenset(total))
-
-
-def compare_worlds(ps: PreferredStructure, w: World, w2: World) -> Comparison:
-    return ps.compare(w.bits, w2.bits)
-
-
-def build_order(
-    base: BeliefBase, indices: Optional[Sequence[int]] = None
-) -> PreferredStructure:
-    return PreferredStructure(base, indices=indices)

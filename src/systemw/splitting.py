@@ -454,8 +454,9 @@ def check_lemma2(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
     for view in two_part_views(base, splitting):
         ps, ps1, ps2, _, _ = _split_structures(base, view)
         for w2 in range(sig.num_worlds):
-            viol = ps.dominators[w2] & ~(ps1.dominators[w2] | ps2.dominators[w2])
-            pairs += bin(ps.dominators[w2]).count("1")
+            below = ps.below(w2)
+            viol = below & ~(ps1.below(w2) | ps2.below(w2))
+            pairs += below.bit_count()
             if viol:
                 return PostulateReport(
                     "lemma2", False,
@@ -477,7 +478,7 @@ def check_lemma3(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
         for sub_ps, other_scope, tag in ((ps1, scope2, "part1"), (ps2, scope1, "part2")):
             for w2 in range(sig.num_worlds):
                 same = other_scope.group_masks[other_scope.marginal[w2]]
-                viol = sub_ps.dominators[w2] & same & ~ps.dominators[w2]
+                viol = sub_ps.below(w2) & same & ~ps.below(w2)
                 if viol:
                     witness = _world_pair_witness(sig, viol, w2)
                     witness["side"] = tag
@@ -492,14 +493,14 @@ def check_lemma3(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
 
 def check_lemma4(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
     """Whether a world sits below another under a sub-base depends only on its
-    marginal over that sub-base's part: within each marginal class the
-    dominator set of any world is all-or-nothing."""
+    marginal over that sub-base's part: each marginal class lies either wholly
+    inside or wholly outside the set of worlds below any world."""
     sig = base.signature
     for view in two_part_views(base, splitting):
         _, ps1, ps2, scope1, scope2 = _split_structures(base, view)
         for sub_ps, scope, tag in ((ps1, scope1, "part1"), (ps2, scope2, "part2")):
             for w2 in range(sig.num_worlds):
-                doms = sub_ps.dominators[w2]
+                doms = sub_ps.below(w2)
                 for gm in scope.group_masks:
                     inside = doms & gm
                     if inside and inside != gm:

@@ -34,3 +34,13 @@ def world_bits(sig, positives):
     for a in positives:
         bits |= 1 << sig.index(a)
     return bits
+
+
+def chain_text(n):
+    """Belief-base file text of an n-atom chain (a{i+1}|a{i}) with the
+    exception (!a{n-1}|a0); its tolerance partition has two layers."""
+    atoms = [f"a{i}" for i in range(n)]
+    lines = ["signature: " + ", ".join(atoms)]
+    lines += [f"({atoms[i + 1]}|{atoms[i]})" for i in range(n - 1)]
+    lines.append(f"(!{atoms[-1]}|{atoms[0]})")
+    return "\n".join(lines) + "\n"

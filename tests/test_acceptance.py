@@ -106,14 +106,14 @@ def test_criterion_3_strict_partial_order(suite3_bases):
         ps = PreferredStructure(base)
         n = base.signature.num_worlds
         for w in range(n):
-            assert not (ps.dominators[w] >> w) & 1  # irreflexive
-            assert ps.dominators[w] & ps.dominated[w] == 0  # asymmetric
-            doms = ps.dominators[w]
+            assert not (ps.below(w) >> w) & 1  # irreflexive
+            assert ps.below(w) & ps.above(w) == 0  # asymmetric
+            doms = ps.below(w)
             while doms:
                 low = doms & -doms
                 mid = low.bit_length() - 1
-                # anything below a dominator of w is below w
-                assert ps.dominators[mid] & ~ps.dominators[w] == 0
+                # anything below a world below w is below w
+                assert ps.below(mid) & ~ps.below(w) == 0
                 doms ^= low
     elapsed = verdict(3, "strict-partial-order suite (200 bases)", True, t0)
     assert elapsed < 30.0
@@ -124,7 +124,8 @@ def _z_w_sweep(base):
     sig = base.signature
     space = sig.full_mask + 1
     full = space - 1
-    dominated = Engine(base, InferenceMode.W).preferred_structure.dominated
+    ps = Engine(base, InferenceMode.W).preferred_structure
+    above = [ps.above(w) for w in range(sig.num_worlds)]
 
     # per-world Z ranks, from the tolerance partition directly
     partition = tolerance_partition(base)
@@ -142,7 +143,7 @@ def _z_w_sweep(base):
     for m in range(1, space):
         low = m & -m
         bit = low.bit_length() - 1
-        dom[m] = dom[m ^ low] | dominated[bit]
+        dom[m] = dom[m ^ low] | above[bit]
         mink[m] = min(mink[m ^ low], kappa[bit])
     a = np.arange(space, dtype=np.int64).reshape(-1, 1)
     b = np.arange(space, dtype=np.int64).reshape(1, -1)

@@ -5,6 +5,7 @@ import pytest
 
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
 
+from conftest import chain_text
 from oracles import transitive_closure
 
 
@@ -101,6 +102,12 @@ class TestInfer:
     def test_vacuous(self, capsys, example1_file):
         code, out, _ = run(capsys, "infer", example1_file, "bot", "v")
         assert code == 0 and out.strip() == "yes"
+
+    def test_twelve_atom_tautology(self, capsys, tmp_path):
+        p = tmp_path / "chain12.cb"
+        p.write_text(chain_text(12))
+        code, out, err = run(capsys, "infer", str(p), "top", "a1;!a1")
+        assert (code, out, err) == (0, "yes\n", "")
 
     def test_parse_error(self, capsys, example1_file):
         code, _, err = run(capsys, "infer", example1_file, "d,,p", "!v")

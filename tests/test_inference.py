@@ -18,8 +18,10 @@ from systemw import (
     parse_formula,
 )
 
+from systemw.cli import load_belief_base
 from systemw.splitting import PartScope
 
+from conftest import chain_text
 from oracles import (
     oracle_w_entails,
     oracle_z_entails,
@@ -135,6 +137,23 @@ class TestDrowningRegression:
         a, c = parse_formula("p", sig), parse_formula("w", sig)
         assert infer_w(base, a, c)
         assert not infer_z(base, a, c)
+
+
+class TestLargeSignatures:
+    # Query masks with thousands of models and signatures above 2^14 worlds
+    # are answered from the profile classes like any other.
+    def test_twelve_atom_tautology_in_w(self):
+        base = load_belief_base(chain_text(12))
+        engine = Engine(base, InferenceMode.W)
+        assert engine.entails(fm(base, "top"), fm(base, "a1;!a1"))
+
+    def test_fifteen_atom_chain_in_w(self):
+        base = load_belief_base(chain_text(15))
+        a = fm(base, ",".join(f"a{i}" for i in range(8)))
+        # The a8-less world that breaks only (a8|a7) is minimal among the
+        # a0..a7 worlds, so the inference does not hold.
+        assert not Engine(base, InferenceMode.W).entails(a, fm(base, "a8"))
+        assert Engine(base, InferenceMode.W).entails(a, fm(base, "a1"))
 
 
 def test_inconsistent_base_raises(example1):

@@ -6,12 +6,7 @@ from systemw import (
     InconsistentBeliefBaseError,
     PreferredStructure,
     Signature,
-    World,
-    build_order,
-    compare_worlds,
     parse_conditional,
-    tolerance_partition,
-    xi_profile,
 )
 
 from conftest import world_bits
@@ -20,74 +15,77 @@ from oracles import transitive_closure
 
 @pytest.fixture(scope="module")
 def example1_order(example1):
-    return build_order(example1)
+    return PreferredStructure(example1)
+
+
+def indices(bits):
+    return {i for i in range(bits.bit_length()) if (bits >> i) & 1}
+
+
+def falsified(base, w):
+    return {i for i in base.indices() if (base[i].falsification_mask >> w) & 1}
 
 
 class TestXiProfile:
-    def test_example1_heavy_world(self, example1):
-        sig = example1.signature
-        part = tolerance_partition(example1)
-        prof = xi_profile(example1, part, World(sig, world_bits(sig, "pbfvd")))
-        assert {str(example1[i]) for i in prof.per_layer[0]} == {"(!v|d)"}
-        assert {str(example1[i]) for i in prof.per_layer[1]} == {"(!f|p)"}
-        assert prof.total == prof.per_layer[0] | prof.per_layer[1]
+    def test_example1_heavy_world(self, example1, example1_order):
+        w = world_bits(example1.signature, "pbfvd")
+        prof = example1_order.profile_bits(w)
+        assert {str(example1[i]) for i in indices(prof[0])} == {"(!v|d)"}
+        assert {str(example1[i]) for i in indices(prof[1])} == {"(!f|p)"}
+        assert indices(prof[0] | prof[1]) == falsified(example1, w)
 
-    def test_example1_clean_world(self, example1):
-        sig = example1.signature
-        part = tolerance_partition(example1)
-        prof = xi_profile(example1, part, World(sig, world_bits(sig, "bf")))
-        assert all(not s for s in prof.per_layer) and prof.total == frozenset()
+    def test_example1_clean_world(self, example1, example1_order):
+        w = world_bits(example1.signature, "bf")
+        prof = example1_order.profile_bits(w)
+        assert all(not s for s in prof) and falsified(example1, w) == set()
 
     def test_empty_base(self):
         sig = Signature(["a"])
         base = BeliefBase(sig, ())
-        prof = xi_profile(base, tolerance_partition(base), World(sig, 0))
-        assert prof.per_layer == () and prof.total == frozenset()
+        prof = PreferredStructure(base).profile_bits(0)
+        assert prof == () and falsified(base, 0) == set()
 
 
 class TestCompareWorlds:
     def test_clean_below_heavy(self, example1, example1_order):
         sig = example1.signature
-        clean = World(sig, world_bits(sig, "bf"))
-        heavy = World(sig, world_bits(sig, "pbf"))  # falsifies (!f|p), layer 1
-        assert compare_worlds(example1_order, clean, heavy) is Comparison.STRICTLY_LESS
-        assert compare_worlds(example1_order, heavy, clean) is Comparison.STRICTLY_GREATER
+        clean = world_bits(sig, "bf")
+        heavy = world_bits(sig, "pbf")  # falsifies (!f|p), layer 1
+        assert example1_order.compare(clean, heavy) is Comparison.STRICTLY_LESS
+        assert example1_order.compare(heavy, clean) is Comparison.STRICTLY_GREATER
 
     def test_reflexive_equal_profile(self, example1, example1_order):
-        for w in example1.signature.worlds():
-            assert compare_worlds(example1_order, w, w) is Comparison.EQUAL_PROFILE
+        for w in range(example1.signature.num_worlds):
+            assert example1_order.compare(w, w) is Comparison.EQUAL_PROFILE
 
     def test_top_layer_dominates_lower_layer(self, example1, example1_order):
         sig = example1.signature
         # falsifies only (f|b) (layer 0)
-        only_fb = World(sig, world_bits(sig, "b"))
+        only_fb = world_bits(sig, "b")
         # falsifies only (b|p) (layer 1)
-        only_bp = World(sig, world_bits(sig, "pf"))
-        assert (
-            compare_worlds(example1_order, only_fb, only_bp)
-            is Comparison.STRICTLY_LESS
-        )
+        only_bp = world_bits(sig, "pf")
+        assert example1_order.compare(only_fb, only_bp) is Comparison.STRICTLY_LESS
 
 
 class TestBuildOrder:
     def test_minimal_worlds_are_exactly_xi_free(self, example1, example1_order):
         ps = example1_order
-        part = tolerance_partition(example1)
+        sig = example1.signature
         free = 0
-        for w in example1.signature.worlds():
-            if not xi_profile(example1, part, w).total:
-                free |= 1 << w.bits
+        for w in range(sig.num_worlds):
+            if not falsified(example1, w):
+                free |= 1 << w
         assert free != 0
-        assert ps.minimal_mask() == free
+        assert ps.minimal(sig.full_mask) == free
 
     def test_empty_base_empty_relation(self):
-        ps = build_order(BeliefBase(Signature(["a", "b"]), ()))
+        ps = PreferredStructure(BeliefBase(Signature(["a", "b"]), ()))
         assert list(ps.pairs()) == []
 
     def test_single_conditional_four_world_brute_force(self):
         sig = Signature(["a", "b"])
         base = BeliefBase(sig, [parse_conditional("(b|a)", sig)])
-        ps = build_order(base)
+        ps = PreferredStructure(base)
         fals = base[0].falsification_mask
         expected = {
             (w, w2)
@@ -104,7 +102,7 @@ class TestBuildOrder:
             [parse_conditional("(a|top)", sig), parse_conditional("(!a|top)", sig)],
         )
         with pytest.raises(InconsistentBeliefBaseError):
-            build_order(base)
+            PreferredStructure(base)
 
 
 class TestOrderProperties:
@@ -117,14 +115,14 @@ class TestOrderProperties:
         ps = example1_order
         n = ps.signature.num_worlds
         for a in range(n):
-            assert ps.dominated[a] & ps.dominators[a] == 0
-            doms = ps.dominated[a]
+            assert ps.above(a) & ps.below(a) == 0
+            doms = ps.above(a)
             while doms:
                 low = doms & -doms
                 b = low.bit_length() - 1
                 assert not ps.less(b, a)
                 # everything above b is above a
-                assert ps.dominated[b] & ~ps.dominated[a] == 0
+                assert ps.above(b) & ~ps.above(a) == 0
                 doms ^= low
 
     def test_equal_profile_congruence(self, example1, example1_order):
@@ -133,8 +131,8 @@ class TestOrderProperties:
         for a in range(n):
             for b in range(n):
                 if ps.compare(a, b) is Comparison.EQUAL_PROFILE:
-                    assert ps.dominators[a] == ps.dominators[b]
-                    assert ps.dominated[a] == ps.dominated[b]
+                    assert ps.below(a) == ps.below(b)
+                    assert ps.above(a) == ps.above(b)
 
 
 class TestHasse:
@@ -144,12 +142,12 @@ class TestHasse:
         base = BeliefBase(
             sig, [parse_conditional("(a|top)", sig), parse_conditional("(b|a)", sig)]
         )
-        ps = build_order(base)
+        ps = PreferredStructure(base)
         closure = transitive_closure(ps.hasse_edges(), sig.num_worlds)
         assert closure == set(ps.pairs())
 
     def test_empty_relation_no_edges(self):
-        ps = build_order(BeliefBase(Signature(["a"]), ()))
+        ps = PreferredStructure(BeliefBase(Signature(["a"]), ()))
         assert ps.hasse_edges() == set()
 
     def test_example1_closure_equals_relation(self, example1_order):
