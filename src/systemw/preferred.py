@@ -137,12 +137,18 @@ class PreferredStructure:
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""
+        # Classes below a class come before it, and below every class that
+        # meets `mask` lies a minimal one, so the kept classes are enough.
         kept = []
         low = 0
         for prof, m in self.classes:
-            if m & mask and not any(_less(k, prof) for k in kept):
-                kept.append(prof)
-                low |= m
+            if m & mask:
+                for k in kept:
+                    if _less(k, prof):
+                        break
+                else:
+                    kept.append(prof)
+                    low |= m
         return low & mask
 
     def pairs(self) -> Iterator[tuple]:
