@@ -114,15 +114,12 @@ def oracle_z_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
     return min_kappa(a_bits & b_bits) < min_kappa(a_bits - b_bits)
 
 
-def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
-    """System W decision from the paper's definition: A |~ B iff every
-    A-and-not-B world has a strictly preferred A-and-B world. A world is
-    strictly preferred to another iff, at the highest layer where their
-    falsified sets differ, its falsified set is a proper subset."""
+def oracle_w_preferred(base: BeliefBase, worlds) -> set:
+    """Pairs (w, w2) of the given world numbers where w is strictly preferred
+    to w2: at the highest tolerance layer where their falsified sets differ,
+    the falsified set of w is a proper subset of that of w2."""
     layers = oracle_tolerance_partition(base)
     assert layers is not None
-    a_bits = oracle_model_bits(a)
-    b_bits = oracle_model_bits(b)
 
     def falsified(bits):
         asg = assignment_of_bits(base.signature, bits)
@@ -131,7 +128,7 @@ def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
             for layer in layers
         ]
 
-    xi = {w: falsified(w) for w in a_bits}
+    xi = {w: falsified(w) for w in worlds}
 
     def preferred(w, w2):
         for mine, theirs in zip(reversed(xi[w]), reversed(xi[w2])):
@@ -139,8 +136,17 @@ def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
                 return mine < theirs
         return False
 
+    return {(w, w2) for w in worlds for w2 in worlds if preferred(w, w2)}
+
+
+def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
+    """System W decision from the paper's definition: A |~ B iff every
+    A-and-not-B world has a strictly preferred A-and-B world."""
+    a_bits = oracle_model_bits(a)
+    b_bits = oracle_model_bits(b)
+    preferred = oracle_w_preferred(base, a_bits)
     return all(
-        any(preferred(w, w2) for w in a_bits & b_bits) for w2 in a_bits - b_bits
+        any((w, w2) in preferred for w in a_bits & b_bits) for w2 in a_bits - b_bits
     )
 
 

@@ -6,11 +6,12 @@ from systemw import (
     InconsistentBeliefBaseError,
     PreferredStructure,
     Signature,
+    generate_split_base,
     parse_conditional,
 )
 
 from conftest import world_bits
-from oracles import transitive_closure
+from oracles import oracle_w_preferred, random_consistent_base, transitive_closure
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +134,18 @@ class TestOrderProperties:
                 if ps.compare(a, b) is Comparison.EQUAL_PROFILE:
                     assert ps.below(a) == ps.below(b)
                     assert ps.above(a) == ps.above(b)
+
+
+    def test_relation_matches_oracle_on_random_bases(self, example1):
+        bases = [example1]
+        bases += [random_consistent_base(500 + s, max_atoms=5, max_conds=6)
+                  for s in range(30)]
+        bases += [generate_split_base(3, 3, 600 + s)[0] for s in range(10)]
+        for base in bases:
+            worlds = range(base.signature.num_worlds)
+            assert set(PreferredStructure(base).pairs()) == oracle_w_preferred(
+                base, worlds
+            )
 
 
 class TestHasse:
