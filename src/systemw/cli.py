@@ -138,10 +138,7 @@ def cmd_order(args) -> int:
     if args.format == "dot":
         print(ps.to_dot())
     else:
-        sig = base.signature
-        labels = [sig.render_world(w) for w in range(sig.num_worlds)]
-        for w, w2 in sorted(ps.pairs()):
-            print(f"{labels[w]}\t{labels[w2]}")
+        sys.stdout.write(ps.to_tsv())
     return EXIT_YES
 
 

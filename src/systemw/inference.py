@@ -11,11 +11,7 @@ from typing import Optional, Sequence
 
 from .logic import BeliefBase, Formula
 from .preferred import PreferredStructure
-from .tolerance import (
-    InconsistentBeliefBaseError,
-    _partition_pairs,
-    tolerance_partition,
-)
+from .tolerance import InconsistentBeliefBaseError, tolerance_partition
 
 
 class InferenceMode(Enum):
@@ -96,8 +92,21 @@ class Engine:
         if self.mode is InferenceMode.Z:
             return self._min_rank(ab) < self._min_rank(anb)
         # p-entailment: the base extended with (!B|A) must be inconsistent.
-        extended = self._pairs + [(anb, ab)]
-        return _partition_pairs(extended, full) is None
+        # Every subset of the base is consistent, so the extension is
+        # consistent iff some stage of its tolerance partition tolerates
+        # (!B|A) before the stages get stuck.
+        remaining = self._pairs
+        while True:
+            fals = ab
+            for _, f in remaining:
+                fals |= f
+            safe = full & ~fals
+            if anb & safe:
+                return False
+            rest = [p for p in remaining if not p[0] & safe]
+            if len(rest) == len(remaining):
+                return True
+            remaining = rest
 
     def entails(self, antecedent: Formula, consequent: Formula) -> bool:
         return self.entails_masks(antecedent.mask, consequent.mask)

@@ -11,7 +11,10 @@ pair, sorted so that every class comes before every class above it.
 
 from __future__ import annotations
 
+import re
+from array import array
 from enum import Enum
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .logic import BeliefBase
@@ -33,13 +36,14 @@ def _less(p: tuple, q: tuple) -> bool:
     return False
 
 
+_ONE = re.compile("1")
+
+
 def _bits(mask: int) -> list:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Positions of the set bits of `mask`, ascending. One scan of the binary
+    string: stripping the lowest bit repeatedly would copy a 2^n-bit mask
+    once per set bit."""
+    return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 class PreferredStructure:
@@ -81,22 +85,26 @@ class PreferredStructure:
         # deciding layer and equal sets above it, so it sorts first.
         classes.sort(key=lambda c: [xi.bit_count() for xi in reversed(c[0])])
         self.classes = classes
-        self._down = self._up = self._down_w = self._up_w = None
+        self._down_w = self._up_w = self._cover_w = self._class_id = None
 
     def _class_of(self, w: int) -> int:
+        if self._class_id is not None:
+            return self._class_id[w]
         for c, (_, m) in enumerate(self.classes):
             if (m >> w) & 1:
                 return c
         raise IndexError(w)
 
     def _relate(self) -> None:
-        """Fill in the class relation: per class, the classes strictly below
-        and above it as bitsets of class indices, and the worlds they hold."""
-        if self._down is not None:
+        """Fill in the class relation: per class, the worlds strictly below
+        it, strictly above it and covering it (above it with nothing strictly
+        between), and the class id of every world."""
+        if self._class_id is not None:
             return
         classes = self.classes
-        down, up = [0] * len(classes), [0] * len(classes)
-        down_w, up_w = [0] * len(classes), [0] * len(classes)
+        n = len(classes)
+        down, up = [0] * n, [0] * n  # bitsets of class indices
+        down_w, up_w, cover_w = [0] * n, [0] * n, [0] * n
         for c, (prof, m) in enumerate(classes):
             for d in range(c):
                 if _less(classes[d][0], prof):
@@ -104,8 +112,16 @@ class PreferredStructure:
                     up[d] |= 1 << c
                     down_w[c] |= classes[d][1]
                     up_w[d] |= m
-        self._up, self._down_w, self._up_w = up, down_w, up_w
-        self._down = down  # set last: it marks the relation as filled in
+        for d in range(n):
+            for c in _bits(up[d]):
+                if up[d] & down[c] == 0:
+                    cover_w[d] |= classes[c][1]
+        class_id = array("I", bytes(4 * self.signature.num_worlds))
+        for c, (_, m) in enumerate(classes):
+            for w in _bits(m):
+                class_id[w] = c
+        self._down_w, self._up_w, self._cover_w = down_w, up_w, cover_w
+        self._class_id = class_id  # set last: it marks the relation as filled in
 
     # --- queries -------------------------------------------------------------
 
@@ -152,33 +168,49 @@ class PreferredStructure:
         return low & mask
 
     def pairs(self) -> Iterator[tuple]:
-        """All related pairs (w, w2) with w strictly below w2."""
+        """All related pairs (w, w2) with w strictly below w2, sorted."""
         self._relate()
-        for c, (_, m) in enumerate(self.classes):
-            lower = _bits(self._down_w[c])
-            for w2 in _bits(m):
-                for w in lower:
-                    yield (w, w2)
+        up = [_bits(m) for m in self._up_w]
+        for w, c in enumerate(self._class_id):
+            for w2 in up[c]:
+                yield (w, w2)
 
     def hasse_edges(self) -> set:
         """Transitive reduction: pairs (w, w2) with nothing strictly between."""
         self._relate()
-        edges = set()
-        for c, (_, m) in enumerate(self.classes):
-            for d in _bits(self._down[c]):
-                if self._up[d] & self._down[c] == 0:
-                    edges.update(
-                        (w, w2) for w in _bits(self.classes[d][1]) for w2 in _bits(m)
-                    )
-        return edges
+        return {
+            pair
+            for (_, m), cover in zip(self.classes, self._cover_w)
+            for pair in product(_bits(m), _bits(cover))
+        }
 
     def to_dot(self) -> str:
-        """Hasse diagram; arrows point from a world to the more-preferred one."""
+        """Hasse diagram; arrows point from a world to the more-preferred one.
+        Edges come sorted by the more-preferred world, then the other."""
+        self._relate()
         sig = self.signature
         lines = ["digraph preferred_structure {"]
         for w in range(sig.num_worlds):
             lines.append(f'  w{w} [label="{sig.render_world(w)}"];')
-        for lo, hi in sorted(self.hasse_edges()):
-            lines.append(f"  w{hi} -> w{lo};")
+        heads = [[f"  w{hi} -> w" for hi in _bits(m)] for m in self._cover_w]
+        for lo, c in enumerate(self._class_id):
+            if heads[c]:
+                tail = f"{lo};"
+                lines.extend([head + tail for head in heads[c]])
         lines.append("}")
         return "\n".join(lines)
+
+    def to_tsv(self) -> str:
+        """The full relation, one "w<TAB>w2" row per pair with w strictly
+        preferred to w2, as world labels, sorted by w then w2; every row ends
+        in a newline, so an empty relation gives the empty string."""
+        self._relate()
+        sig = self.signature
+        labels = [sig.render_world(w) for w in range(sig.num_worlds)]
+        uppers = [[labels[w2] for w2 in _bits(m)] for m in self._up_w]
+        rows = []
+        for w, c in enumerate(self._class_id):
+            if uppers[c]:
+                label = labels[w]
+                rows.append(label + "\t" + ("\n" + label + "\t").join(uppers[c]) + "\n")
+        return "".join(rows)

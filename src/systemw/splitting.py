@@ -209,9 +209,21 @@ def two_part_views(base: BeliefBase, splitting: SyntaxSplitting) -> list:
     return views
 
 
+# Exhaustive search over a k-atom part enumerates all 2^(2^k) semantic
+# formulas: 65,536 at k = 4, whose pairs alone are 4.3e9 queries.
+MAX_EXHAUSTIVE_ATOMS = 3
+
+
 def _semantic_values(scope: PartScope, bound: int, samples: int,
                      rng: random.Random) -> list:
-    if len(scope.atoms) <= bound:
+    k = len(scope.atoms)
+    if k <= bound:
+        if k > MAX_EXHAUSTIVE_ATOMS:
+            raise ValueError(
+                f"bound {bound} makes the search over the {k}-atom part "
+                f"{{{','.join(scope.atoms)}}} exhaustive (2^{2 ** k} formulas); "
+                f"exhaustive search is limited to {MAX_EXHAUSTIVE_ATOMS} atoms"
+            )
         return list(range(scope.full_sub + 1))
     space = scope.full_sub + 1
     if space <= samples:

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from systemw.cli import load_belief_base, main, BeliefBaseFormatError
 
 from conftest import chain_text
 from oracles import transitive_closure
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -147,6 +150,18 @@ class TestOrder:
         code, out, _ = run(capsys, "order", str(p))
         assert code == 0 and "->" not in out
 
+    @pytest.mark.parametrize("fmt", ["dot", "tsv"])
+    def test_example1_golden(self, capsys, example1_file, fmt):
+        code, out, err = run(capsys, "order", example1_file, "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / f"example1.{fmt}").read_text()
+
+    def test_empty_relation_tsv_writes_nothing(self, capsys, tmp_path):
+        p = tmp_path / "empty.cb"
+        p.write_text("signature: a, b\n")
+        code, out, err = run(capsys, "order", str(p), "--format", "tsv")
+        assert code == 0 and out == "" and err == ""
+
     def test_inconsistent_is_a_fault(self, capsys, tmp_path):
         p = tmp_path / "bad.cb"
         p.write_text("signature: a\n(a|top)\n(!a|top)\n")
@@ -187,6 +202,16 @@ class TestPostulates:
         )
         assert code == 1 and "unknown check" in err
 
+    @pytest.mark.parametrize("checks", ["rel", "ind", "synsplit"])
+    def test_exhaustive_four_atom_part_is_a_fault(self, capsys, tmp_path, checks):
+        p = tmp_path / "split.cb"
+        p.write_text("signature: a, b, c, d, e, f\n(b|a)\n(d|c)\n(!f|e,d)\n")
+        code, out, err = run(
+            capsys, "postulates", str(p), "--checks", checks, "--bound", "4"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "4-atom part {c,d,e,f}" in err
+
 
 class TestFuzz:
     def test_deterministic_and_clean_for_w(self, capsys):
@@ -197,6 +222,14 @@ class TestFuzz:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.strip().endswith("cases=10 failures=0")
+
+    def test_exhaustive_four_atom_part_is_a_fault(self, capsys):
+        code, out, err = run(
+            capsys, "fuzz", "--vars", "4", "--bound", "4", "--cases", "2",
+            "--checks", "rel",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "exhaustive" in err
 
     def test_zero_cases(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--cases", "0")

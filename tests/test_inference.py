@@ -20,6 +20,7 @@ from systemw import (
 
 from systemw.cli import load_belief_base
 from systemw.splitting import PartScope
+from systemw.tolerance import _partition_pairs
 
 from conftest import chain_text
 from oracles import (
@@ -225,3 +226,21 @@ def test_z_implies_w_on_random_bases(base_seed, query_seed):
     w = Engine(base, InferenceMode.W)
     for a, b in random_queries(base, query_seed):
         assert not z.entails(a, b) or w.entails(a, b)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_p_matches_partition_of_extended_base(base_seed, query_seed):
+    """P answers `A |~ B` iff the base extended with (!B|A) has no tolerance
+    partition, whichever stage the engine stops at."""
+    base = random_consistent_base(base_seed, max_atoms=6, max_conds=6)
+    engine = Engine(base, InferenceMode.P)
+    full = base.signature.full_mask
+    pairs = [(c.verification_mask, c.falsification_mask) for c in base]
+    rng = random.Random(query_seed)
+    queries = [(rng.randrange(full + 1), rng.randrange(full + 1)) for _ in range(8)]
+    queries += [(c.antecedent.mask, c.consequent.mask) for c in base]
+    for a, b in queries:
+        extended = pairs + [(a & ~b, a & b)]
+        want = _partition_pairs(extended, full) is None
+        assert engine.entails_masks(a, b) == want

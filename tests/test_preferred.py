@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from systemw import (
     BeliefBase,
@@ -177,3 +180,31 @@ class TestHasse:
             assert f"w{hi} -> w{lo};" in dot
         assert dot.count("->") == len(example1_order.hasse_edges())
         assert 'label="bpf!v!d"' in dot
+
+
+def first_difference(got, want):
+    """Index of the first position where two sequences differ, or None.
+    Reports a mismatch between thousands of rows without a full diff."""
+    for i, (g, w) in enumerate(zip(got, want)):
+        if g != w:
+            return i
+    return None if len(got) == len(want) else min(len(got), len(want))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_exports_sorted_and_match_oracle(seed):
+    """`pairs` and the tsv rows are the oracle's pairs, sorted (and rendered);
+    dot edges are the Hasse edges, sorted by the more-preferred world."""
+    base = random_consistent_base(seed, max_atoms=7, max_conds=6)
+    ps = PreferredStructure(base)
+    sig = base.signature
+    label = sig.render_world
+    pairs = sorted(oracle_w_preferred(base, range(sig.num_worlds)))
+    assert first_difference(list(ps.pairs()), pairs) is None
+    rows = [f"{label(w)}\t{label(w2)}\n" for w, w2 in pairs]
+    tsv = ps.to_tsv().splitlines(keepends=True)
+    assert first_difference(tsv, rows) is None
+    edges = [(int(lo), int(hi))
+             for hi, lo in re.findall(r"^  w(\d+) -> w(\d+);$", ps.to_dot(), re.M)]
+    assert first_difference(edges, sorted(ps.hasse_edges())) is None
