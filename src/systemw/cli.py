@@ -143,33 +143,39 @@ def cmd_order(args) -> int:
 
 
 ALL_CHECKS = ("di", "tv", "rel", "ind", "synsplit", "lemmas")
+FUZZ_CHECKS = ("rel", "ind", "synsplit", "di", "lemmas")
+
+
+def _check_names(text: str, allowed: tuple) -> list:
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    for name in names:
+        if name not in allowed:
+            raise ValueError(f"unknown check: {name}")
+    return names
+
+
+def _run_check(name: str, base, splitting, mode, bound: int, seed: int) -> list:
+    if name == "di":
+        return [check_di(base, mode)]
+    if name == "tv":
+        return [check_tv(mode)]
+    if name == "rel":
+        return [check_rel(base, splitting, mode, bound, seed)]
+    if name == "ind":
+        return [check_ind(base, splitting, mode, bound, seed)]
+    if name == "synsplit":
+        return [check_synsplit(base, splitting, mode, bound, seed)]
+    return [check(base, splitting) for check in LEMMA_CHECKS.values()]
 
 
 def cmd_postulates(args) -> int:
     base = _load_file(args.file)
     mode = InferenceMode(args.mode)
-    names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for name in names:
-        if name not in ALL_CHECKS:
-            raise ValueError(f"unknown check: {name}")
-    splitting = detect_splitting(base)
+    names = _check_names(args.checks, ALL_CHECKS)
+    splitting = None if set(names) <= {"di", "tv"} else detect_splitting(base)
     reports = []
     for name in names:
-        if name == "di":
-            reports.append(check_di(base, mode))
-        elif name == "tv":
-            reports.append(check_tv(mode))
-        elif name == "rel":
-            reports.append(check_rel(base, splitting, mode, args.bound, args.seed))
-        elif name == "ind":
-            reports.append(check_ind(base, splitting, mode, args.bound, args.seed))
-        elif name == "synsplit":
-            reports.append(
-                check_synsplit(base, splitting, mode, args.bound, args.seed)
-            )
-        else:
-            for check in LEMMA_CHECKS.values():
-                reports.append(check(base, splitting))
+        reports += _run_check(name, base, splitting, mode, args.bound, args.seed)
     for r in reports:
         if args.json:
             print(json.dumps(r.to_dict(), sort_keys=True))
@@ -178,33 +184,15 @@ def cmd_postulates(args) -> int:
     return EXIT_YES if all(r.passed for r in reports) else EXIT_NO
 
 
-FUZZ_CHECKS = ("rel", "ind", "synsplit", "di", "lemmas")
-
-
 def cmd_fuzz(args) -> int:
     mode = InferenceMode(args.mode)
-    names = [c.strip() for c in args.checks.split(",") if c.strip()]
-    for name in names:
-        if name not in FUZZ_CHECKS:
-            raise ValueError(f"unknown check: {name}")
+    names = _check_names(args.checks, FUZZ_CHECKS)
     failures = 0
     for case in range(args.cases):
         case_seed = args.seed * 1_000_003 + case
         base, splitting = generate_split_base(args.vars, args.conds, case_seed)
         for name in names:
-            if name == "di":
-                reports = [check_di(base, mode)]
-            elif name == "rel":
-                reports = [check_rel(base, splitting, mode, args.bound, case_seed)]
-            elif name == "ind":
-                reports = [check_ind(base, splitting, mode, args.bound, case_seed)]
-            elif name == "synsplit":
-                reports = [
-                    check_synsplit(base, splitting, mode, args.bound, case_seed)
-                ]
-            else:
-                reports = [check(base, splitting) for check in LEMMA_CHECKS.values()]
-            for r in reports:
+            for r in _run_check(name, base, splitting, mode, args.bound, case_seed):
                 if not r.passed:
                     failures += 1
                     print(f"case={case} seed={case_seed} {r.line()}")

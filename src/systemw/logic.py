@@ -228,17 +228,19 @@ def _node_text(node: Node) -> str:
 
 
 class Formula:
-    """Syntax tree plus lazily cached model mask over the signature's worlds."""
+    """Syntax tree plus lazily cached model mask over the signature's worlds.
+    A `mask` given by the caller is trusted, and the tree is not walked."""
 
     __slots__ = ("signature", "ast", "_mask")
 
-    def __init__(self, signature: Signature, ast: Node):
-        for atom in atoms_of(ast):
-            if atom not in signature:
-                raise SignatureError(f"atom {atom!r} not in signature")
+    def __init__(self, signature: Signature, ast: Node, mask: int | None = None):
+        if mask is None:
+            for atom in atoms_of(ast):
+                if atom not in signature:
+                    raise SignatureError(f"atom {atom!r} not in signature")
         self.signature = signature
         self.ast = ast
-        self._mask: int | None = None
+        self._mask = mask
 
     @property
     def mask(self) -> int:

@@ -105,6 +105,10 @@ def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
     return SyntaxSplitting(parts, tuple(frozenset(s) for s in cond_parts))
 
 
+# A k-atom part of an n-atom signature keeps 2^(k + n) bits of world masks.
+MAX_SCOPE_BITS = 28
+
+
 class PartScope:
     """Semantic-formula machinery for one group of atoms of a signature.
 
@@ -116,15 +120,21 @@ class PartScope:
         self.sig = sig
         self.atoms = tuple(atoms)
         self.positions = [sig.index(a) for a in self.atoms]
-        self.num_sub = 1 << len(self.atoms)
-        self.full_sub = (1 << self.num_sub) - 1
-        self.marginal = [
-            sum(((w >> p) & 1) << j for j, p in enumerate(self.positions))
-            for w in range(sig.num_worlds)
-        ]
-        self.group_masks = [0] * self.num_sub
-        for w in range(sig.num_worlds):
-            self.group_masks[self.marginal[w]] |= 1 << w
+        if len(self.atoms) + sig.num_atoms > MAX_SCOPE_BITS:
+            raise ValueError(f"the {len(self.atoms)}-atom part {{{','.join(self.atoms)}}} "
+                             f"of a {sig.num_atoms}-atom signature is over the limit of "
+                             f"{MAX_SCOPE_BITS} part and signature atoms together")
+        self.full_sub = (1 << (1 << len(self.atoms))) - 1
+        # Group s: the worlds where each atom j is true iff bit j of s is set.
+        groups = [sig.full_mask]
+        minterms = [()]
+        for a, p in zip(self.atoms, self.positions):
+            true = sig.atom_mask(p)
+            groups = [g & ~true for g in groups] + [g & true for g in groups]
+            pos, neg = Var(a), Neg(Var(a))
+            minterms = [m + (neg,) for m in minterms] + [m + (pos,) for m in minterms]
+        self.group_masks = groups
+        self._minterms = [m[0] if len(m) == 1 else Conj(m) for m in minterms]
 
     def lift(self, t: int) -> int:
         mask = 0
@@ -134,23 +144,28 @@ class PartScope:
             t ^= low
         return mask
 
+    def group_of(self, w: int) -> int:
+        """Mask of the worlds that agree with world w on the part's atoms."""
+        s = 0
+        for j, p in enumerate(self.positions):
+            s |= ((w >> p) & 1) << j
+        return self.group_masks[s]
+
     def formula(self, t: int) -> Formula:
         """Disjunctive-normal-form formula over the part with sub-model set t."""
         if t == 0:
-            return Formula(self.sig, Bot())
+            return Formula(self.sig, Bot(), 0)
         if t == self.full_sub:
-            return Formula(self.sig, Top())
-        minterms = []
-        for s in range(self.num_sub):
-            if not (t >> s) & 1:
-                continue
-            lits = tuple(
-                Var(a) if (s >> j) & 1 else Neg(Var(a))
-                for j, a in enumerate(self.atoms)
-            )
-            minterms.append(lits[0] if len(lits) == 1 else Conj(lits))
-        node = minterms[0] if len(minterms) == 1 else Disj(tuple(minterms))
-        return Formula(self.sig, node)
+            return Formula(self.sig, Top(), self.sig.full_mask)
+        mask, terms = 0, []
+        while t:
+            low = t & -t
+            s = low.bit_length() - 1
+            mask |= self.group_masks[s]
+            terms.append(self._minterms[s])
+            t ^= low
+        node = terms[0] if len(terms) == 1 else Disj(tuple(terms))
+        return Formula(self.sig, node, mask)
 
     def formula_text(self, t: int) -> str:
         return str(self.formula(t))
@@ -489,7 +504,7 @@ def check_lemma3(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
         ps, ps1, ps2, scope1, scope2 = _split_structures(base, view)
         for sub_ps, other_scope, tag in ((ps1, scope2, "part1"), (ps2, scope1, "part2")):
             for w2 in range(sig.num_worlds):
-                same = other_scope.group_masks[other_scope.marginal[w2]]
+                same = other_scope.group_of(w2)
                 viol = sub_ps.below(w2) & same & ~ps.below(w2)
                 if viol:
                     witness = _world_pair_witness(sig, viol, w2)

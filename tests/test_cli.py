@@ -231,6 +231,23 @@ class TestFuzz:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "exhaustive" in err
 
+    @pytest.mark.parametrize("golden, code, argv", [
+        ("fuzz_z_vars2.txt", 2,
+         ["--mode", "z", "--vars", "2", "--conds", "2",
+          "--checks", "synsplit,di,lemmas", "--cases", "40", "--seed", "0"]),
+        ("fuzz_w_vars5.txt", 0,
+         ["--mode", "w", "--vars", "5", "--conds", "5",
+          "--checks", "di", "--cases", "8", "--seed", "0"]),
+    ])
+    def test_golden(self, capsys, golden, code, argv):
+        assert run(capsys, "fuzz", *argv) == (code, (GOLDEN / golden).read_text(), "")
+
+    def test_part_too_large_is_a_fault(self, capsys):
+        # 12 + 24 atoms would need 2^36 bits of world masks.
+        code, out, err = run(capsys, "fuzz", "--vars", "12", "--cases", "1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "12-atom part" in err
+
     def test_zero_cases(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--cases", "0")
         assert code == 0 and out.strip() == "cases=0 failures=0"

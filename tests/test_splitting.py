@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from systemw import (
     BeliefBase,
     Engine,
+    Formula,
     GenerationError,
     InferenceMode,
     Signature,
+    SignatureError,
     check_di,
     check_ind,
     check_lemma1,
@@ -21,7 +24,12 @@ from systemw import (
     parse_formula,
     tolerance_partition,
 )
-from systemw.splitting import PartScope, SyntaxSplitting, two_part_views
+from systemw.splitting import (
+    MAX_SCOPE_BITS,
+    PartScope,
+    SyntaxSplitting,
+    two_part_views,
+)
 
 
 def cond_strs(base, idxs):
@@ -80,6 +88,41 @@ class TestPartScope:
         for t in range(scope.full_sub + 1):
             f = parse_formula(scope.formula_text(t), example1.signature)
             assert f.mask == scope.lift(t)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_masks_match_per_world_marginals(self, data):
+        n = data.draw(st.integers(0, 8))
+        sig = Signature([f"x{i}" for i in range(n)])
+        atoms = data.draw(st.permutations(sig.atoms))
+        atoms = atoms[:data.draw(st.integers(0, n))]
+        scope = PartScope(sig, atoms)
+        marginal = [
+            sum(((w >> sig.index(a)) & 1) << j for j, a in enumerate(atoms))
+            for w in range(sig.num_worlds)
+        ]
+        for s in range(len(scope.group_masks)):
+            expected = sum(1 << w for w in range(sig.num_worlds) if marginal[w] == s)
+            assert scope.group_masks[s] == expected
+        for w in range(sig.num_worlds):
+            assert scope.group_of(w) == scope.group_masks[marginal[w]]
+        for t in data.draw(st.lists(st.integers(0, scope.full_sub), max_size=8)):
+            # Recompute the mask from the tree instead of trusting formula(t).
+            f = scope.formula(t)
+            assert Formula(sig, f.ast).mask == f.mask == scope.lift(t)
+
+    def test_atom_outside_signature_rejected(self, example1):
+        with pytest.raises(SignatureError):
+            PartScope(example1.signature, ("v", "x"))
+
+    def test_size_limit(self):
+        sig = Signature([f"x{i}" for i in range(20)])
+        fits = MAX_SCOPE_BITS - sig.num_atoms
+        scope = PartScope(sig, sig.atoms[:fits])
+        assert len(scope.group_masks) == 1 << fits
+        assert scope.lift(scope.full_sub) == sig.full_mask
+        with pytest.raises(ValueError, match=f"limit of {MAX_SCOPE_BITS}"):
+            PartScope(sig, sig.atoms[:fits + 1])
 
 
 class TestPostulatesOnExample1:
