@@ -15,22 +15,14 @@ from .logic import (
     SignatureError,
     UnknownAtomError,
     World,
-    evaluate_conditional,
     marginalize,
     merge_worlds,
-    mod_set,
     parse_conditional,
     parse_formula,
 )
-from .tolerance import (
-    InconsistentBeliefBaseError,
-    TolerancePartition,
-    is_consistent,
-    is_tolerated,
-    tolerance_partition,
-)
+from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
 from .preferred import Comparison, PreferredStructure
-from .inference import Engine, InferenceMode, infer, infer_p, infer_w, infer_z
+from .inference import Engine, InferenceMode
 from .splitting import (
     GenerationError,
     PostulateReport,
@@ -77,17 +69,9 @@ __all__ = [
     "check_synsplit",
     "check_tv",
     "detect_splitting",
-    "evaluate_conditional",
     "generate_split_base",
-    "infer",
-    "infer_p",
-    "infer_w",
-    "infer_z",
-    "is_consistent",
-    "is_tolerated",
     "marginalize",
     "merge_worlds",
-    "mod_set",
     "parse_conditional",
     "parse_formula",
     "tolerance_partition",

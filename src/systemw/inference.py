@@ -110,24 +110,3 @@ class Engine:
 
     def entails(self, antecedent: Formula, consequent: Formula) -> bool:
         return self.entails_masks(antecedent.mask, consequent.mask)
-
-
-def infer_w(base: BeliefBase, antecedent: Formula, consequent: Formula) -> bool:
-    return Engine(base, InferenceMode.W).entails(antecedent, consequent)
-
-
-def infer_z(base: BeliefBase, antecedent: Formula, consequent: Formula) -> bool:
-    return Engine(base, InferenceMode.Z).entails(antecedent, consequent)
-
-
-def infer_p(base: BeliefBase, antecedent: Formula, consequent: Formula) -> bool:
-    return Engine(base, InferenceMode.P).entails(antecedent, consequent)
-
-
-def infer(
-    base: BeliefBase,
-    mode: InferenceMode,
-    antecedent: Formula,
-    consequent: Formula,
-) -> bool:
-    return Engine(base, mode).entails(antecedent, consequent)

@@ -286,6 +286,10 @@ class Formula:
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<op>[!(),;&]))")
 
+# Deepest nesting of '(' and '!' a formula may have: the parser recurses once
+# per level, and far deeper input would exhaust Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, sig: Signature):
@@ -294,6 +298,7 @@ class _Parser:
         self.pos = 0
         self.tok: str | None = None
         self.tok_pos = 0
+        self.depth = 0
         self._advance()
 
     def _advance(self):
@@ -332,15 +337,20 @@ class _Parser:
 
     def _lit(self) -> Node:
         tok, at = self.tok, self.tok_pos
-        if tok == "!":
+        if tok in ("!", "("):
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'", at)
             self._advance()
-            return Neg(self._lit())
-        if tok == "(":
-            self._advance()
-            node = self._disj()
-            if self.tok != ")":
-                raise FormulaSyntaxError("expected ')'", self.tok_pos)
-            self._advance()
+            if tok == "!":
+                node = Neg(self._lit())
+            else:
+                node = self._disj()
+                if self.tok != ")":
+                    raise FormulaSyntaxError("expected ')'", self.tok_pos)
+                self._advance()
+            self.depth -= 1
             return node
         if tok is None:
             raise FormulaSyntaxError("unexpected end of input", at)
@@ -451,12 +461,3 @@ class BeliefBase:
 
     def __repr__(self) -> str:
         return f"BeliefBase({', '.join(str(c) for c in self.conditionals)})"
-
-
-def mod_set(f: Formula) -> frozenset:
-    """Exact model set of a formula as a set of worlds."""
-    return f.models()
-
-
-def evaluate_conditional(c: Conditional, world: World) -> ConditionalStatus:
-    return c.evaluate(world)

@@ -138,9 +138,6 @@ class PreferredStructure:
             return Comparison.STRICTLY_GREATER
         return Comparison.INCOMPARABLE
 
-    def less(self, w: int, w2: int) -> bool:
-        return self.compare(w, w2) is Comparison.STRICTLY_LESS
-
     def below(self, w: int) -> int:
         """Bitmask of worlds strictly below w."""
         self._relate()

@@ -167,9 +167,6 @@ class PartScope:
         node = terms[0] if len(terms) == 1 else Disj(tuple(terms))
         return Formula(self.sig, node, mask)
 
-    def formula_text(self, t: int) -> str:
-        return str(self.formula(t))
-
 
 @dataclass
 class PostulateReport:
@@ -227,10 +224,11 @@ def two_part_views(base: BeliefBase, splitting: SyntaxSplitting) -> list:
 # Exhaustive search over a k-atom part enumerates all 2^(2^k) semantic
 # formulas: 65,536 at k = 4, whose pairs alone are 4.3e9 queries.
 MAX_EXHAUSTIVE_ATOMS = 3
+# Semantic formulas drawn per part outside the exhaustive bound.
+SAMPLES = 200
 
 
-def _semantic_values(scope: PartScope, bound: int, samples: int,
-                     rng: random.Random) -> list:
+def _semantic_values(scope: PartScope, bound: int, rng: random.Random) -> list:
     k = len(scope.atoms)
     if k <= bound:
         if k > MAX_EXHAUSTIVE_ATOMS:
@@ -241,9 +239,9 @@ def _semantic_values(scope: PartScope, bound: int, samples: int,
             )
         return list(range(scope.full_sub + 1))
     space = scope.full_sub + 1
-    if space <= samples:
+    if space <= SAMPLES:
         return list(range(space))
-    return [rng.randrange(space) for _ in range(samples)]
+    return [rng.randrange(space) for _ in range(SAMPLES)]
 
 
 def check_rel(
@@ -252,7 +250,6 @@ def check_rel(
     mode: InferenceMode,
     bound: int = 2,
     seed: int = 0,
-    samples: int = 200,
 ) -> PostulateReport:
     """Inferences over one part must coincide with those from that part's
     conditionals alone (evaluated over the full signature)."""
@@ -263,7 +260,7 @@ def check_rel(
         for atoms, idxs in view:
             scope = PartScope(base.signature, atoms)
             sub_engine = Engine(base, mode, indices=sorted(idxs))
-            values = _semantic_values(scope, bound, samples, rng)
+            values = _semantic_values(scope, bound, rng)
             for ta in values:
                 a = scope.lift(ta)
                 for tb in values:
@@ -275,8 +272,8 @@ def check_rel(
                         return PostulateReport(
                             "rel", False,
                             witness={
-                                "A": scope.formula_text(ta),
-                                "B": scope.formula_text(tb),
+                                "A": str(scope.formula(ta)),
+                                "B": str(scope.formula(tb)),
                                 "part": ",".join(atoms),
                                 "full_base": got_full,
                                 "part_base": got_sub,
@@ -293,7 +290,6 @@ def check_ind(
     mode: InferenceMode,
     bound: int = 2,
     seed: int = 0,
-    samples: int = 200,
     conjoined_consequent: bool = False,
 ) -> PostulateReport:
     """Conjoining consistent information over the other part must not change
@@ -307,16 +303,15 @@ def check_ind(
         for (atoms_i, _), (atoms_j, _) in (view, view[::-1]):
             scope_i = PartScope(base.signature, atoms_i)
             scope_j = PartScope(base.signature, atoms_j)
-            values_ab = _semantic_values(scope_i, bound, samples, rng)
-            values_d = [t for t in _semantic_values(scope_j, bound, samples, rng)
-                        if t != 0]
+            values_ab = _semantic_values(scope_i, bound, rng)
+            values_d = [(t, scope_j.lift(t))
+                        for t in _semantic_values(scope_j, bound, rng) if t != 0]
             for ta in values_ab:
                 a = scope_i.lift(ta)
                 for tb in values_ab:
                     b = scope_i.lift(tb)
                     plain = engine.entails_masks(a, b)
-                    for td in values_d:
-                        d = scope_j.lift(td)
+                    for td, d in values_d:
                         b2 = b & d if conjoined_consequent else b
                         conjoined = engine.entails_masks(a & d, b2)
                         checked += 1
@@ -324,9 +319,9 @@ def check_ind(
                             return PostulateReport(
                                 name, False,
                                 witness={
-                                    "A": scope_i.formula_text(ta),
-                                    "B": scope_i.formula_text(tb),
-                                    "D": scope_j.formula_text(td),
+                                    "A": str(scope_i.formula(ta)),
+                                    "B": str(scope_i.formula(tb)),
+                                    "D": str(scope_j.formula(td)),
                                     "without_d": plain,
                                     "with_d": conjoined,
                                 },
@@ -342,10 +337,9 @@ def check_synsplit(
     mode: InferenceMode,
     bound: int = 2,
     seed: int = 0,
-    samples: int = 200,
 ) -> PostulateReport:
-    rel = check_rel(base, splitting, mode, bound, seed, samples)
-    ind = check_ind(base, splitting, mode, bound, seed, samples)
+    rel = check_rel(base, splitting, mode, bound, seed)
+    ind = check_ind(base, splitting, mode, bound, seed)
     passed = rel.passed and ind.passed
     witness = None
     if not passed:
@@ -393,7 +387,7 @@ def check_tv(mode: InferenceMode, num_atoms: int = 3) -> PostulateReport:
                 scope = PartScope(sig, sig.atoms)
                 return PostulateReport(
                     "tv", False,
-                    witness={"A": scope.formula_text(a), "B": scope.formula_text(b)},
+                    witness={"A": str(scope.formula(a)), "B": str(scope.formula(b))},
                     search_bounds=f"mode={mode.value} atoms={num_atoms} exhaustive",
                 )
     return PostulateReport(
@@ -403,10 +397,6 @@ def check_tv(mode: InferenceMode, num_atoms: int = 3) -> PostulateReport:
 
 
 # --- order lemmas for split bases --------------------------------------------
-
-
-def _layers_list(partition) -> list:
-    return [set(layer) for layer in partition.layers]
 
 
 def check_lemma1(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
@@ -559,18 +549,15 @@ LEMMA_CHECKS = {
 
 # --- seeded generation of split belief bases ---------------------------------
 
+MAX_GENERATION_ATTEMPTS = 500
 
-def generate_split_base(
-    vars_per_part: int,
-    conds_per_part: int,
-    seed: int,
-    max_attempts: int = 500,
-) -> tuple:
+
+def generate_split_base(vars_per_part: int, conds_per_part: int, seed: int) -> tuple:
     """Deterministic consistent belief base with a built-in two-part splitting.
 
     Antecedents and consequents are drawn as non-trivial semantic formulas
     (neither tautology nor contradiction) over their part; inconsistent draws
-    are retried up to `max_attempts` times.
+    are retried up to MAX_GENERATION_ATTEMPTS times.
     """
     if vars_per_part < 1 or 2 * vars_per_part > len(string.ascii_lowercase):
         raise ValueError("vars_per_part out of range")
@@ -579,7 +566,7 @@ def generate_split_base(
     atoms2 = tuple(string.ascii_lowercase[vars_per_part:2 * vars_per_part])
     sig = Signature(atoms1 + atoms2)
     scopes = (PartScope(sig, atoms1), PartScope(sig, atoms2))
-    for _ in range(max_attempts):
+    for _ in range(MAX_GENERATION_ATTEMPTS):
         conds = []
         cond_parts = []
         for scope in scopes:
@@ -595,5 +582,5 @@ def generate_split_base(
         if tolerance_partition(base) is not None:
             return base, SyntaxSplitting((atoms1, atoms2), tuple(cond_parts))
     raise GenerationError(
-        f"no consistent base found in {max_attempts} attempts (seed={seed})"
+        f"no consistent base found in {MAX_GENERATION_ATTEMPTS} attempts (seed={seed})"
     )

@@ -1,11 +1,11 @@
-"""Tolerance testing and the inclusion-maximal tolerance partition."""
+"""The inclusion-maximal tolerance partition; None marks an inconsistent base."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .logic import BeliefBase, Conditional
+from .logic import BeliefBase
 
 
 class InconsistentBeliefBaseError(ValueError):
@@ -22,12 +22,6 @@ class TolerancePartition:
     def k(self) -> int:
         """Highest layer index; -1 for the empty partition."""
         return len(self.layers) - 1
-
-    def layer_of(self, index: int) -> int:
-        for j, layer in enumerate(self.layers):
-            if index in layer:
-                return j
-        raise KeyError(index)
 
     def all_indices(self) -> frozenset:
         return frozenset().union(*self.layers) if self.layers else frozenset()
@@ -54,15 +48,6 @@ def _partition_pairs(pairs: Sequence[tuple], full_mask: int) -> Optional[tuple]:
     return tuple(layers)
 
 
-def is_tolerated(c: Conditional, conditionals: Sequence[Conditional]) -> bool:
-    """True iff some world verifies c while falsifying nothing in the given set."""
-    full = c.signature.full_mask
-    fals_union = 0
-    for other in conditionals:
-        fals_union |= other.falsification_mask
-    return bool(c.verification_mask & full & ~fals_union)
-
-
 def tolerance_partition(
     base: BeliefBase, indices: Optional[Sequence[int]] = None
 ) -> Optional[TolerancePartition]:
@@ -84,7 +69,3 @@ def tolerance_partition(
     return TolerancePartition(
         tuple(frozenset(indices[p] for p in layer) for layer in raw)
     )
-
-
-def is_consistent(base: BeliefBase, indices: Optional[Sequence[int]] = None) -> bool:
-    return tolerance_partition(base, indices) is not None

@@ -183,11 +183,11 @@ def random_base(seed: int, max_atoms: int, max_conds: int) -> BeliefBase:
 
 
 def random_consistent_base(seed: int, max_atoms: int, max_conds: int) -> BeliefBase:
-    from systemw.tolerance import is_consistent
+    from systemw.tolerance import tolerance_partition
 
     for attempt in range(1000):
         base = random_base(seed * 100_003 + attempt, max_atoms, max_conds)
-        if is_consistent(base):
+        if tolerance_partition(base) is not None:
             return base
     raise RuntimeError("no consistent base found")
 

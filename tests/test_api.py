@@ -1,0 +1,44 @@
+import systemw
+from systemw import cli, inference, logic, preferred, splitting, tolerance
+
+# Aliases of a canonical call, and names nothing called, that were removed.
+REMOVED_FUNCTIONS = (
+    "evaluate_conditional",
+    "infer",
+    "infer_p",
+    "infer_w",
+    "infer_z",
+    "is_consistent",
+    "is_tolerated",
+    "mod_set",
+    "ALL_CHECKS",
+    "FUZZ_CHECKS",
+    "_run_check",
+    "_layers_list",
+)
+REMOVED_METHODS = (
+    (preferred.PreferredStructure, "less"),
+    (splitting.PartScope, "formula_text"),
+    (tolerance.TolerancePartition, "layer_of"),
+)
+
+
+def test_star_import_resolves_every_name():
+    namespace = {}
+    exec("from systemw import *", namespace)
+    for name in systemw.__all__:
+        assert namespace[name] is getattr(systemw, name)
+
+
+def test_all_is_sorted_without_duplicates():
+    assert systemw.__all__ == sorted(set(systemw.__all__))
+
+
+def test_removed_names_are_gone():
+    modules = (systemw, logic, tolerance, preferred, inference, splitting, cli)
+    for name in REMOVED_FUNCTIONS:
+        assert name not in systemw.__all__
+        assert not any(hasattr(m, name) for m in modules)
+    for cls, name in REMOVED_METHODS:
+        assert not hasattr(cls, name)
+

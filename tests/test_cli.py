@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from systemw import cli
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
+from systemw.splitting import check_rel
 
 from conftest import chain_text
 from oracles import transitive_closure
@@ -67,6 +69,13 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent.cb")
         assert code == 1 and err
 
+    def test_deeply_nested_conditional_is_a_fault(self, capsys, tmp_path):
+        p = tmp_path / "deep.cb"
+        p.write_text("signature: a\n(" + "!" * 2000 + "a|top)\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "line 2: formula nested deeper" in err
+
 
 class TestPartition:
     def test_example1(self, capsys, example1_file):
@@ -115,6 +124,12 @@ class TestInfer:
     def test_parse_error(self, capsys, example1_file):
         code, _, err = run(capsys, "infer", example1_file, "d,,p", "!v")
         assert code == 1 and err
+
+    def test_deeply_nested_formula_is_a_fault(self, capsys, example1_file):
+        deep = "(" * 500 + "d" + ")" * 500
+        code, out, err = run(capsys, "infer", example1_file, deep, "!v")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "nested deeper than 100 levels" in err
 
 
 class TestSplit:
@@ -202,6 +217,36 @@ class TestPostulates:
         )
         assert code == 1 and "unknown check" in err
 
+    def test_di_and_tv_skip_splitting_detection(self, capsys, example1_file,
+                                                monkeypatch):
+        def refuse(base):
+            raise AssertionError("detect_splitting called")
+
+        monkeypatch.setattr(cli, "detect_splitting", refuse)
+        code, out, err = run(capsys, "postulates", example1_file, "--checks", "di,tv")
+        assert (code, err) == (0, "")
+        assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
+
+    def test_registry_calls_checks_by_module_name(self, capsys, example1_file,
+                                                  monkeypatch):
+        # A wrapper bound to the module name (as the benchmark's tracer binds
+        # one) must be the function that runs.
+        calls = []
+
+        def wrapped(*args):
+            calls.append(len(args))
+            return check_rel(*args)
+
+        monkeypatch.setattr(cli, "check_rel", wrapped)
+        assert run(capsys, "postulates", example1_file, "--checks", "rel")[0] == 0
+        assert calls == [5]
+
+    def test_golden_default_checks(self, capsys, example1_file):
+        # Every default check in order, with the Z witnesses of ind and synsplit.
+        expected = (GOLDEN / "postulates_example1_z.jsonl").read_text()
+        assert run(capsys, "postulates", example1_file, "--mode", "z",
+                   "--json") == (2, expected, "")
+
     @pytest.mark.parametrize("checks", ["rel", "ind", "synsplit"])
     def test_exhaustive_four_atom_part_is_a_fault(self, capsys, tmp_path, checks):
         p = tmp_path / "split.cb"
@@ -247,6 +292,10 @@ class TestFuzz:
         code, out, err = run(capsys, "fuzz", "--vars", "12", "--cases", "1")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "12-atom part" in err
+
+    def test_tv_is_not_a_fuzz_check(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--checks", "tv", "--cases", "1")
+        assert (code, out, err) == (1, "", "error: unknown check: tv\n")
 
     def test_zero_cases(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--cases", "0")

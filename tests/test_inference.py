@@ -10,10 +10,6 @@ from systemw import (
     InconsistentBeliefBaseError,
     InferenceMode,
     Signature,
-    infer,
-    infer_p,
-    infer_w,
-    infer_z,
     parse_conditional,
     parse_formula,
 )
@@ -37,21 +33,24 @@ def fm(base, text):
 
 class TestExample1:
     def test_system_w_licences_dp_notv(self, example1):
-        assert infer_w(example1, fm(example1, "d,p"), fm(example1, "!v"))
+        engine = Engine(example1, InferenceMode.W)
+        assert engine.entails(fm(example1, "d,p"), fm(example1, "!v"))
 
     def test_system_z_rejects_dp_notv(self, example1):
-        assert not infer_z(example1, fm(example1, "d,p"), fm(example1, "!v"))
+        engine = Engine(example1, InferenceMode.Z)
+        assert not engine.entails(fm(example1, "d,p"), fm(example1, "!v"))
 
     def test_p_entailment_rejects_dp_notv(self, example1):
-        assert not infer_p(example1, fm(example1, "d,p"), fm(example1, "!v"))
+        engine = Engine(example1, InferenceMode.P)
+        assert not engine.entails(fm(example1, "d,p"), fm(example1, "!v"))
 
     def test_direct_inference_d_notv_all_modes(self, example1):
         for mode in InferenceMode:
-            assert infer(example1, mode, fm(example1, "d"), fm(example1, "!v"))
+            assert Engine(example1, mode).entails(fm(example1, "d"), fm(example1, "!v"))
 
     def test_z_baseline_b_f(self, example1):
         a, b = fm(example1, "b"), fm(example1, "f")
-        assert infer_z(example1, a, b)
+        assert Engine(example1, InferenceMode.Z).entails(a, b)
         assert oracle_z_entails(example1, a, b)
 
 
@@ -59,17 +58,19 @@ class TestVacuity:
     def test_unsatisfiable_antecedent_all_modes(self, example1):
         bot = fm(example1, "bot")
         for mode in InferenceMode:
-            assert infer(example1, mode, bot, fm(example1, "v"))
-            assert infer(example1, mode, fm(example1, "p,!p"), fm(example1, "bot"))
+            engine = Engine(example1, mode)
+            assert engine.entails(bot, fm(example1, "v"))
+            assert engine.entails(fm(example1, "p,!p"), fm(example1, "bot"))
 
 
 class TestEmptyBase:
     def test_p_is_classical_entailment(self):
         sig = Signature(["a", "b"])
         base = BeliefBase(sig, ())
-        assert infer_p(base, parse_formula("a", sig), parse_formula("a", sig))
-        assert infer_p(base, parse_formula("a,b", sig), parse_formula("b", sig))
-        assert not infer_p(base, parse_formula("a", sig), parse_formula("b", sig))
+        engine = Engine(base, InferenceMode.P)
+        assert engine.entails(parse_formula("a", sig), parse_formula("a", sig))
+        assert engine.entails(parse_formula("a,b", sig), parse_formula("b", sig))
+        assert not engine.entails(parse_formula("a", sig), parse_formula("b", sig))
 
     def test_all_modes_reduce_to_subset(self):
         sig = Signature(["a", "b"])
@@ -136,8 +137,8 @@ class TestDrowningRegression:
             ],
         )
         a, c = parse_formula("p", sig), parse_formula("w", sig)
-        assert infer_w(base, a, c)
-        assert not infer_z(base, a, c)
+        assert Engine(base, InferenceMode.W).entails(a, c)
+        assert not Engine(base, InferenceMode.Z).entails(a, c)
 
 
 class TestLargeSignatures:

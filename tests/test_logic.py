@@ -14,10 +14,8 @@ from systemw.logic import (
     UnknownAtomError,
     Var,
     World,
-    evaluate_conditional,
     marginalize,
     merge_worlds,
-    mod_set,
     parse_conditional,
     parse_formula,
 )
@@ -97,19 +95,32 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("a|b", Signature(["a", "b"]))
 
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("!", ""), ("!(", ")")])
+    def test_nesting_limit(self, opener, closer):
+        # 100 levels of '(' and '!' parse; one more is a syntax error at the
+        # token that goes over, not a RecursionError.
+        sig = Signature(["a"])
+        reps = 100 // len(opener)  # an even number of negations
+        f = parse_formula(opener * reps + "a" + closer * reps, sig)
+        assert f.mask == sig.atom_mask(0)
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula("!" + opener * reps + "a" + closer * reps, sig)
+        assert exc.value.position == 100
+        assert "nested deeper than 100 levels" in str(exc.value)
+
 
 class TestModSet:
     def test_top_all_worlds(self):
         sig = Signature(["a", "b", "c"])
-        assert len(mod_set(parse_formula("top", sig))) == 8
+        assert len(parse_formula("top", sig).models()) == 8
 
     def test_bot_empty(self):
         sig = Signature(["a", "b", "c"])
-        assert mod_set(parse_formula("bot", sig)) == frozenset()
+        assert parse_formula("bot", sig).models() == frozenset()
 
     def test_unique_model(self):
         sig = Signature(["b", "p"])
-        models = mod_set(parse_formula("b,!p", sig))
+        models = parse_formula("b,!p", sig).models()
         assert models == frozenset({World(sig, 0b01)})
 
     def test_set_algebra_exhaustive(self):
@@ -157,25 +168,25 @@ class TestConditional:
         sig = example1.signature
         c = example1[0]  # (f|b)
         w = World(sig, world_bits(sig, "bf"))
-        assert evaluate_conditional(c, w) is ConditionalStatus.VERIFIED
+        assert c.evaluate(w) is ConditionalStatus.VERIFIED
 
     def test_falsified(self, example1):
         sig = example1.signature
         c = example1[3]  # (!f|p)
         w = World(sig, world_bits(sig, "pbf"))
-        assert evaluate_conditional(c, w) is ConditionalStatus.FALSIFIED
+        assert c.evaluate(w) is ConditionalStatus.FALSIFIED
 
     def test_not_applicable(self, example1):
         sig = example1.signature
         c = example1[1]  # (!v|d)
         w = World(sig, world_bits(sig, ""))
-        assert evaluate_conditional(c, w) is ConditionalStatus.NOT_APPLICABLE
+        assert c.evaluate(w) is ConditionalStatus.NOT_APPLICABLE
 
     def test_statuses_partition_worlds(self, example1):
         for c in example1:
             for w in example1.signature.worlds():
                 statuses = [
-                    s for s in ConditionalStatus if evaluate_conditional(c, w) is s
+                    s for s in ConditionalStatus if c.evaluate(w) is s
                 ]
                 assert len(statuses) == 1
 

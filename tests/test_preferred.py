@@ -113,7 +113,7 @@ class TestOrderProperties:
     def test_irreflexive(self, example1_order):
         n = example1_order.signature.num_worlds
         for w in range(n):
-            assert not example1_order.less(w, w)
+            assert example1_order.compare(w, w) is not Comparison.STRICTLY_LESS
 
     def test_asymmetric_and_transitive(self, example1_order):
         ps = example1_order
@@ -124,7 +124,7 @@ class TestOrderProperties:
             while doms:
                 low = doms & -doms
                 b = low.bit_length() - 1
-                assert not ps.less(b, a)
+                assert ps.compare(b, a) is not Comparison.STRICTLY_LESS
                 # everything above b is above a
                 assert ps.above(b) & ~ps.above(a) == 0
                 doms ^= low

@@ -86,7 +86,7 @@ class TestPartScope:
     def test_formula_text_parses_back(self, example1):
         scope = PartScope(example1.signature, ("b", "f"))
         for t in range(scope.full_sub + 1):
-            f = parse_formula(scope.formula_text(t), example1.signature)
+            f = parse_formula(str(scope.formula(t)), example1.signature)
             assert f.mask == scope.lift(t)
 
     @given(st.data())

@@ -5,8 +5,6 @@ import pytest
 from systemw import (
     BeliefBase,
     Signature,
-    is_consistent,
-    is_tolerated,
     parse_conditional,
     tolerance_partition,
 )
@@ -15,6 +13,7 @@ from conftest import world_bits
 from oracles import (
     oracle_falsifies,
     oracle_tolerance_partition,
+    oracle_tolerated,
     oracle_verifies,
     random_base,
     assignment_of_bits,
@@ -28,19 +27,22 @@ def cond_strs(base, layer):
 class TestIsTolerated:
     def test_tolerated_with_witness(self, example1):
         # (f|b): the world bf!p!v!d verifies it and falsifies nothing
-        assert is_tolerated(example1[0], example1.conditionals)
+        assert oracle_tolerated(example1, 0, example1.indices())
+        assert 0 in tolerance_partition(example1).layers[0]
         sig = example1.signature
         asg = assignment_of_bits(sig, world_bits(sig, "bf"))
         assert oracle_verifies(example1[0], asg)
         assert not any(oracle_falsifies(c, asg) for c in example1)
 
     def test_not_tolerated(self, example1):
-        assert not is_tolerated(example1[2], example1.conditionals)  # (b|p)
+        assert not oracle_tolerated(example1, 2, example1.indices())  # (b|p)
+        assert 2 not in tolerance_partition(example1).layers[0]
 
     def test_empty_context(self):
         sig = Signature(["a", "b"])
-        c = parse_conditional("(b|a)", sig)
-        assert is_tolerated(c, [])
+        base = BeliefBase(sig, [parse_conditional("(b|a)", sig)])
+        assert oracle_tolerated(base, 0, [])
+        assert tolerance_partition(base, [0]).layers == (frozenset({0}),)
 
 
 class TestTolerancePartition:
@@ -62,7 +64,6 @@ class TestTolerancePartition:
             sig, [parse_conditional("(a|top)", sig), parse_conditional("(!a|top)", sig)]
         )
         assert tolerance_partition(base) is None
-        assert not is_consistent(base)
 
     def test_unsatisfiable_antecedent_inconsistent(self):
         sig = Signature(["a"])
@@ -95,7 +96,7 @@ class TestTolerancePartition:
         # pulling any later-layer conditional into layer 0 breaks the invariant
         part = tolerance_partition(example1)
         for i in part.layers[1]:
-            assert not is_tolerated(example1[i], example1.conditionals)
+            assert not oracle_tolerated(example1, i, example1.indices())
 
     def test_subset_partition_uses_original_indices(self, example1):
         part = tolerance_partition(example1, [2, 3])  # (b|p), (!f|p)
@@ -103,8 +104,8 @@ class TestTolerancePartition:
         assert part.all_indices() == {2, 3}
 
     def test_consistency_flag(self, example1):
-        assert is_consistent(example1)
-        assert is_consistent(BeliefBase(Signature([]), ()))
+        assert tolerance_partition(example1) is not None
+        assert tolerance_partition(BeliefBase(Signature([]), ())) is not None
 
 
 def test_matches_oracle_on_random_bases():
