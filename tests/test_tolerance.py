@@ -42,7 +42,7 @@ class TestIsTolerated:
         sig = Signature(["a", "b"])
         base = BeliefBase(sig, [parse_conditional("(b|a)", sig)])
         assert oracle_tolerated(base, 0, [])
-        assert tolerance_partition(base, [0]).layers == (frozenset({0}),)
+        assert tolerance_partition(base).layers == (frozenset({0}),)
 
 
 class TestTolerancePartition:
