@@ -428,8 +428,11 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
     if not (s.startswith("(") and s.endswith(")")):
         raise FormulaSyntaxError("conditional must be enclosed in parentheses", 0)
     body = s[1:-1]
-    if body.count("|") != 1:
-        raise FormulaSyntaxError("conditional needs exactly one '|'", s.find("|"))
+    bars = body.count("|")
+    if bars != 1:
+        # Point at the second bar, or at the closing parenthesis if none.
+        at = s.find("|", s.find("|") + 1) if bars else len(s) - 1
+        raise FormulaSyntaxError("conditional needs exactly one '|'", at)
     cons_text, ante_text = body.split("|")
     return Conditional(parse_formula(ante_text, sig), parse_formula(cons_text, sig))
 

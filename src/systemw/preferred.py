@@ -4,9 +4,13 @@ partial order they induce.
 A world's profile is one bitmask per tolerance layer (bit i set iff the world
 falsifies conditional i of that layer). One world precedes another iff, at the
 highest layer where their profiles differ, its falsified set is a strict
-subset of the other's. Worlds with equal profiles are interchangeable, so the
-structure is kept as a list of profile classes, each a (profile, world mask)
-pair, sorted so that every class comes before every class above it.
+subset of the other's.
+
+The minimal worlds of a set are found by a descent from the top layer that
+needs only each layer's falsification masks. The relation itself is kept as
+a list of profile classes, each a (profile, world mask) pair, sorted so that
+every class comes before every class above it; that list is built on first
+use, by the profile, comparison and relation queries only.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import re
 from array import array
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -49,9 +54,10 @@ def _bits(mask: int) -> list:
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
-    `classes` lists the profile classes as (per-layer profile, world mask)
-    pairs, with every class before the classes above it. The relation between
-    classes is computed on first use.
+    `minimal` descends the tolerance layers. `classes` lists the profile
+    classes as (per-layer profile, world mask) pairs, with every class before
+    the classes above it; it and the relation between classes are computed
+    on first use.
     """
 
     def __init__(
@@ -67,8 +73,21 @@ class PreferredStructure:
         self.base = base
         self.signature = base.signature
         self.partition = partition
+        # Per layer, top first: its falsification masks and their union.
+        self._layers = []
+        for layer in reversed(partition.layers):
+            fals = [base[i].falsification_mask for i in sorted(layer)]
+            union = 0
+            for f in fals:
+                union |= f
+            self._layers.append((fals, union))
+        self._down_w = self._up_w = self._cover_w = self._class_id = None
+
+    @cached_property
+    def classes(self) -> list:
+        base = self.base
         classes = [((), self.signature.full_mask)]
-        for layer in partition.layers:
+        for layer in self.partition.layers:
             split = [(prof, 0, m) for prof, m in classes]
             for i in sorted(layer):
                 fals, bit = base[i].falsification_mask, 1 << i
@@ -84,8 +103,7 @@ class PreferredStructure:
         # A class strictly below another has a smaller falsified set at the
         # deciding layer and equal sets above it, so it sorts first.
         classes.sort(key=lambda c: [xi.bit_count() for xi in reversed(c[0])])
-        self.classes = classes
-        self._down_w = self._up_w = self._cover_w = self._class_id = None
+        return classes
 
     def _class_of(self, w: int) -> int:
         if self._class_id is not None:
@@ -150,19 +168,48 @@ class PreferredStructure:
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""
-        # Classes below a class come before it, and below every class that
-        # meets `mask` lies a minimal one, so the kept classes are enough.
-        kept = []
+        # Among worlds that agree above layer j, a world is minimal iff its
+        # falsified set at layer j is inclusion-minimal among theirs and it is
+        # minimal among the worlds sharing that set. So each step takes the
+        # worlds of one inclusion-minimal set down to the next layer.
         low = 0
-        for prof, m in self.classes:
-            if m & mask:
-                for k in kept:
-                    if _less(k, prof):
-                        break
-                else:
-                    kept.append(prof)
-                    low |= m
-        return low & mask
+        depth = len(self._layers)
+        stack = [(0, mask & self.signature.full_mask)]
+        while stack:
+            j, m = stack.pop()
+            if j == depth:
+                low |= m
+                continue
+            fals, union = self._layers[j]
+            clean = m & ~union
+            if clean:
+                stack.append((j + 1, clean))
+                continue
+            todo = m
+            while todo:
+                # Shrink the falsified set of the lowest world of `todo` to
+                # an inclusion-minimal realised set S. `rest` holds the worlds
+                # of m whose set lies within the current one, so one pass
+                # drops each conditional that some of them avoid. S is new:
+                # the worlds falsifying all of an earlier set left `todo`.
+                bit = todo & -todo
+                hit, outside = [], 0
+                for f in fals:
+                    if f & bit:
+                        hit.append(f)
+                    else:
+                        outside |= f
+                rest = m & ~outside
+                every = m  # the worlds of m falsifying all of S
+                for f in hit:
+                    without = rest & ~f
+                    if without:
+                        rest = without
+                    else:
+                        every &= f
+                stack.append((j + 1, rest))
+                todo &= ~every
+        return low
 
     def pairs(self) -> Iterator[tuple]:
         """All related pairs (w, w2) with w strictly below w2, sorted."""

@@ -44,3 +44,21 @@ def chain_text(n):
     lines += [f"({atoms[i + 1]}|{atoms[i]})" for i in range(n - 1)]
     lines.append(f"(!{atoms[-1]}|{atoms[0]})")
     return "\n".join(lines) + "\n"
+
+
+def chain_queries(n):
+    """(A, B, answer) for W on the n-atom chain of `chain_text`, n >= 6.
+
+    Layer 0 holds (a{i+1}|a{i}) for 1 <= i <= n-2, layer 1 holds (a1|a0) and
+    (!a{n-1}|a0). An a0-world with a1 and !a{n-1} falsifies nothing in layer
+    1 and must break the chain once in layer 0, so the minimal a0-worlds are
+    a0..a{i} with the rest false, for 1 <= i <= n-2. With a{n-1} as well,
+    only the world with every atom true is minimal."""
+    k = n // 2
+    return [
+        ("a0", f"!a{n - 1}", True),
+        ("a0", "a2", False),
+        (f"a0,a{n - 1}", f"a{k}", True),
+        ("top", "!a0", True),
+        (",".join(f"a{i}" for i in range(k + 1)), f"a{k + 1}", False),
+    ]

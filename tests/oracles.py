@@ -8,7 +8,6 @@ these serve as oracles for it.
 from __future__ import annotations
 
 import random
-from itertools import product
 
 from systemw.logic import (
     BeliefBase,

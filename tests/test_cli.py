@@ -65,6 +65,19 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(p))
         assert code == 1 and err.startswith("error:") and out == ""
 
+    @pytest.mark.parametrize("line,position", [
+        ("(a)", 2),            # no bar: the closing parenthesis
+        ("(a|a|a)", 4),        # two bars: the second one
+        ("  (a | top | a)", 9),
+    ])
+    def test_bar_count_fault_names_a_position(self, capsys, tmp_path, line, position):
+        p = tmp_path / "bars.cb"
+        p.write_text(f"signature: a\n{line}\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out) == (1, "")
+        assert err == ("error: line 2: conditional needs exactly one '|' "
+                       f"(at position {position})\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.cb")
         assert code == 1 and err

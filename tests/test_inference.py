@@ -1,8 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import systemw
 from systemw import (
     BeliefBase,
     Engine,
@@ -18,9 +24,13 @@ from systemw.cli import load_belief_base
 from systemw.splitting import PartScope
 from systemw.tolerance import _partition_pairs
 
-from conftest import chain_text
+from conftest import chain_queries, chain_text
 from oracles import (
+    assignment_of_bits,
+    oracle_falsifies,
+    oracle_tolerance_partition,
     oracle_w_entails,
+    oracle_w_preferred,
     oracle_z_entails,
     random_consistent_base,
     random_node,
@@ -143,7 +153,7 @@ class TestDrowningRegression:
 
 class TestLargeSignatures:
     # Query masks with thousands of models and signatures above 2^14 worlds
-    # are answered from the profile classes like any other.
+    # are answered by the layer descent like any other.
     def test_twelve_atom_tautology_in_w(self):
         base = load_belief_base(chain_text(12))
         engine = Engine(base, InferenceMode.W)
@@ -156,6 +166,51 @@ class TestLargeSignatures:
         # a0..a7 worlds, so the inference does not hold.
         assert not Engine(base, InferenceMode.W).entails(a, fm(base, "a8"))
         assert Engine(base, InferenceMode.W).entails(a, fm(base, "a1"))
+
+
+# Answers chain_queries(n) under an address-space limit, in a fresh process,
+# and prints them as JSON.
+_CHAIN_CHILD = """
+import json, resource, sys
+limit, n = int(sys.argv[1]), int(sys.argv[2])
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from conftest import chain_queries, chain_text
+from systemw import Engine, InferenceMode, parse_formula
+from systemw.cli import load_belief_base
+base = load_belief_base(chain_text(n))
+engine = Engine(base, InferenceMode.W)
+sig = base.signature
+print(json.dumps([engine.entails(parse_formula(a, sig), parse_formula(b, sig))
+                  for a, b, _ in chain_queries(n)]))
+"""
+
+
+class TestChainFrontier:
+    """The W chain from 20 atoms, where a class list needs gigabytes."""
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_pattern_matches_oracle(self, n):
+        base = load_belief_base(chain_text(n))
+        engine = Engine(base, InferenceMode.W)
+        for a, b, want in chain_queries(n):
+            a, b = fm(base, a), fm(base, b)
+            assert oracle_w_entails(base, a, b) == want
+            assert engine.entails(a, b) == want
+
+    @pytest.mark.parametrize("n", [20, 22, 24])
+    def test_answers_within_one_gigabyte(self, n):
+        env = dict(os.environ)
+        paths = [str(Path(__file__).parent), str(Path(systemw.__file__).parents[1])]
+        env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHAIN_CHILD, str(1 << 30), str(n)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout) == [want for _, _, want in chain_queries(n)]
 
 
 def test_inconsistent_base_raises(example1):
@@ -245,3 +300,33 @@ def test_p_matches_partition_of_extended_base(base_seed, query_seed):
         extended = pairs + [(a & ~b, a & b)]
         want = _partition_pairs(extended, full) is None
         assert engine.entails_masks(a, b) == want
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_w_queries_leave_the_class_list_unbuilt(base_seed, query_seed):
+    """A W build and its queries never build the profile classes; the profile
+    and relation queries build them on first use and match the definition."""
+    base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
+    engine = Engine(base, InferenceMode.W)
+    ps = engine.preferred_structure
+    for a, b in random_queries(base, query_seed):
+        engine.entails(a, b)
+    assert "classes" not in vars(ps)
+    sig = base.signature
+    layers = oracle_tolerance_partition(base)
+    worlds = random.Random(query_seed).sample(range(sig.num_worlds),
+                                              min(sig.num_worlds, 6))
+    for w in worlds:
+        asg = assignment_of_bits(sig, w)
+        assert ps.profile_bits(w) == tuple(
+            sum(1 << i for i in layer if oracle_falsifies(base[i], asg))
+            for layer in layers
+        )
+    assert "classes" in vars(ps)
+    below = {w: 0 for w in worlds}
+    for w, w2 in oracle_w_preferred(base, range(sig.num_worlds)):
+        if w2 in below:
+            below[w2] |= 1 << w
+    for w in worlds:
+        assert ps.below(w) == below[w]

@@ -5,7 +5,6 @@ from systemw import (
     BeliefBase,
     Engine,
     Formula,
-    GenerationError,
     InferenceMode,
     Signature,
     SignatureError,

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from systemw import (
     BeliefBase,
     Signature,
