@@ -284,7 +284,9 @@ class Formula:
 
 # --- parser -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<atom>[a-z][a-z0-9_]*)|(?P<op>[!(),;&]))")
+# Every non-blank character is a token. One that is neither an atom nor an
+# operator is reported when the parser reaches it.
+_TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|[!(),;&]|\S")
 
 # Deepest nesting of '(' and '!' a formula may have: the parser recurses once
 # per level, and far deeper input would exhaust Python's recursion limit.
@@ -292,83 +294,106 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over one token scan. Each step returns its subtree
+    and that subtree's model mask, so a parsed formula is walked once."""
+
     def __init__(self, text: str, sig: Signature):
         self.text = text
         self.sig = sig
-        self.pos = 0
-        self.tok: str | None = None
-        self.tok_pos = 0
+        self.full = sig.full_mask
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append(None)  # end of input
+        self.i = 0
         self.depth = 0
-        self._advance()
 
-    def _advance(self):
-        m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].lstrip()
-            if rest:
-                at = len(self.text) - len(rest)
-                raise FormulaSyntaxError(f"unexpected character {rest[0]!r}", at)
-            self.tok = None
-            self.tok_pos = len(self.text)
-            return
-        self.tok = m.group("atom") or m.group("op")
-        self.tok_pos = m.start("atom") if m.group("atom") else m.start("op")
-        self.pos = m.end()
+    def _at(self, i: int) -> int:
+        """Text position of token i, for an error there. A character outside
+        the grammar among tokens i .. self.i is reported first: such a
+        character ends the parse as soon as it is the next token, which for
+        an atom is before the atom is looked up."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        for k in range(i, self.i + 1):
+            tok = self.toks[k]
+            if tok is not None and not (_ATOM_RE.match(tok) or tok in "!(),;&"):
+                raise FormulaSyntaxError(f"unexpected character {tok!r}", starts[k])
+        return starts[i]
 
-    def parse(self) -> Node:
-        node = self._disj()
-        if self.tok is not None:
-            raise FormulaSyntaxError(f"unexpected token {self.tok!r}", self.tok_pos)
-        return node
+    def parse(self) -> tuple:
+        node, mask = self._disj()
+        tok = self.toks[self.i]
+        if tok is not None:
+            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(self.i))
+        return node, mask
 
-    def _disj(self) -> Node:
-        children = [self._conj()]
-        while self.tok == ";":
-            self._advance()
-            children.append(self._conj())
-        return children[0] if len(children) == 1 else Disj(tuple(children))
+    def _disj(self) -> tuple:
+        node, mask = self._conj()
+        if self.toks[self.i] != ";":
+            return node, mask
+        children = [node]
+        while self.toks[self.i] == ";":
+            self.i += 1
+            node, m = self._conj()
+            children.append(node)
+            mask |= m
+        return Disj(tuple(children)), mask
 
-    def _conj(self) -> Node:
-        children = [self._lit()]
-        while self.tok in (",", "&"):
-            self._advance()
-            children.append(self._lit())
-        return children[0] if len(children) == 1 else Conj(tuple(children))
+    def _conj(self) -> tuple:
+        node, mask = self._lit()
+        tok = self.toks[self.i]
+        if tok != "," and tok != "&":
+            return node, mask
+        children = [node]
+        while tok == "," or tok == "&":
+            self.i += 1
+            node, m = self._lit()
+            children.append(node)
+            mask &= m
+            tok = self.toks[self.i]
+        return Conj(tuple(children)), mask
 
-    def _lit(self) -> Node:
-        tok, at = self.tok, self.tok_pos
-        if tok in ("!", "("):
+    def _lit(self) -> tuple:
+        i = self.i
+        tok = self.toks[i]
+        if tok == "!" or tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise FormulaSyntaxError(
-                    f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'", at)
-            self._advance()
+                    f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'",
+                    self._at(i))
+            self.i = i + 1
             if tok == "!":
-                node = Neg(self._lit())
+                node, mask = self._lit()
+                node, mask = Neg(node), mask ^ self.full  # mask lies within full
             else:
-                node = self._disj()
-                if self.tok != ")":
-                    raise FormulaSyntaxError("expected ')'", self.tok_pos)
-                self._advance()
+                node, mask = self._disj()
+                if self.toks[self.i] != ")":
+                    raise FormulaSyntaxError("expected ')'", self._at(self.i))
+                self.i += 1
             self.depth -= 1
-            return node
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", at)
-        if tok in (")", ",", ";", "&"):
-            raise FormulaSyntaxError(f"unexpected token {tok!r}", at)
-        self._advance()
+            return node, mask
         if tok == "top":
-            return Top()
+            self.i = i + 1
+            return Top(), self.full
         if tok == "bot":
-            return Bot()
-        if tok not in self.sig:
-            raise UnknownAtomError(tok, at)
-        return Var(tok)
+            self.i = i + 1
+            return Bot(), 0
+        index = self.sig._index.get(tok)
+        if index is not None:
+            self.i = i + 1
+            return Var(tok), self.sig.atom_mask(index)
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", self._at(i))
+        if tok in (")", ",", ";", "&"):
+            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(i))
+        self.i = i + 1
+        raise UnknownAtomError(tok, self._at(i))
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     """Parse text per the grammar: ';' disjunction, ','/'&' conjunction, '!' negation."""
-    return Formula(sig, _Parser(text, sig).parse())
+    node, mask = _Parser(text, sig).parse()
+    return Formula(sig, node, mask)
 
 
 # --- conditionals and belief bases -------------------------------------------

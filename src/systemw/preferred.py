@@ -81,7 +81,7 @@ class PreferredStructure:
             for f in fals:
                 union |= f
             self._layers.append((fals, union))
-        self._down_w = self._up_w = self._cover_w = self._class_id = None
+        self._down_w = self._up_w = self._cover_w = None
 
     @cached_property
     def classes(self) -> list:
@@ -105,19 +105,20 @@ class PreferredStructure:
         classes.sort(key=lambda c: [xi.bit_count() for xi in reversed(c[0])])
         return classes
 
-    def _class_of(self, w: int) -> int:
-        if self._class_id is not None:
-            return self._class_id[w]
+    @cached_property
+    def _class_id(self) -> array:
+        """The index in `classes` of every world's class."""
+        class_id = array("I", bytes(4 * self.signature.num_worlds))
         for c, (_, m) in enumerate(self.classes):
-            if (m >> w) & 1:
-                return c
-        raise IndexError(w)
+            for w in _bits(m):
+                class_id[w] = c
+        return class_id
 
     def _relate(self) -> None:
         """Fill in the class relation: per class, the worlds strictly below
         it, strictly above it and covering it (above it with nothing strictly
-        between), and the class id of every world."""
-        if self._class_id is not None:
+        between)."""
+        if self._cover_w is not None:
             return
         classes = self.classes
         n = len(classes)
@@ -134,17 +135,13 @@ class PreferredStructure:
             for c in _bits(up[d]):
                 if up[d] & down[c] == 0:
                     cover_w[d] |= classes[c][1]
-        class_id = array("I", bytes(4 * self.signature.num_worlds))
-        for c, (_, m) in enumerate(classes):
-            for w in _bits(m):
-                class_id[w] = c
-        self._down_w, self._up_w, self._cover_w = down_w, up_w, cover_w
-        self._class_id = class_id  # set last: it marks the relation as filled in
+        self._down_w, self._up_w = down_w, up_w
+        self._cover_w = cover_w  # set last: it marks the relation as filled in
 
     # --- queries -------------------------------------------------------------
 
     def profile_bits(self, w: int) -> tuple:
-        return self.classes[self._class_of(w)][0]
+        return self.classes[self._class_id[w]][0]
 
     def compare(self, w: int, w2: int) -> Comparison:
         p, q = self.profile_bits(w), self.profile_bits(w2)
@@ -159,12 +156,12 @@ class PreferredStructure:
     def below(self, w: int) -> int:
         """Bitmask of worlds strictly below w."""
         self._relate()
-        return self._down_w[self._class_of(w)]
+        return self._down_w[self._class_id[w]]
 
     def above(self, w: int) -> int:
         """Bitmask of worlds strictly above w."""
         self._relate()
-        return self._up_w[self._class_of(w)]
+        return self._up_w[self._class_id[w]]
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""

@@ -138,6 +138,12 @@ class TestInfer:
         code, _, err = run(capsys, "infer", example1_file, "d,,p", "!v")
         assert code == 1 and err
 
+    def test_bad_character_after_unknown_atom(self, capsys, example1_file):
+        # The character is reported, not the unknown atom before it.
+        code, out, err = run(capsys, "infer", example1_file, "q$", "b")
+        assert (code, out, err) == (
+            1, "", "error: unexpected character '$' (at position 1)\n")
+
     def test_deeply_nested_formula_is_a_fault(self, capsys, example1_file):
         deep = "(" * 500 + "d" + ")" * 500
         code, out, err = run(capsys, "infer", example1_file, deep, "!v")

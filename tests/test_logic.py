@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +25,20 @@ from systemw.logic import (
 
 from conftest import world_bits
 from oracles import all_assignments, eval_node, oracle_model_bits, random_node
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_parse_errors():
+    """Rows of golden/parse_errors.tsv: the input as a JSON string, the
+    exception type, its message and its position, each parsed over the
+    signature a, b, c. The file was captured from the two-pass parser that
+    the single-pass one replaced, so it pins the error that wins when a
+    formula has several faults."""
+    with open(GOLDEN / "parse_errors.tsv", encoding="utf-8") as fh:
+        for line in fh:
+            text, kind, message, position = line.rstrip("\n").split("\t")
+            yield json.loads(text), kind, message, int(position)
 
 
 def sig2():
@@ -108,6 +125,13 @@ class TestParser:
         assert exc.value.position == 100
         assert "nested deeper than 100 levels" in str(exc.value)
 
+    @pytest.mark.parametrize("text, kind, message, position", golden_parse_errors())
+    def test_golden_error(self, text, kind, message, position):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_formula(text, Signature(["a", "b", "c"]))
+        assert (type(exc.value).__name__, str(exc.value), exc.value.position) == (
+            kind, message, position)
+
 
 class TestModSet:
     def test_top_all_worlds(self):
@@ -161,6 +185,46 @@ def test_print_parse_round_trip(sn):
     sig, node = sn
     f = Formula(sig, node)
     assert parse_formula(str(f), sig).mask == f.mask
+
+
+# Atom names that share prefixes with each other and with `top`/`bot`.
+DIFF_ATOMS = ("a", "b1", "c_d", "top1", "botx", "ab", "e", "f")
+
+
+@st.composite
+def formula_text(draw):
+    """(signature, text): random formula text over up to 8 atoms, with
+    random blanks, ',' and '&' and ';', nested '!' and parentheses, and the
+    constants."""
+    sig = Signature(DIFF_ATOMS[:draw(st.integers(1, 8))])
+    blank = st.sampled_from(["", "", " ", "  ", "\t", "\n"])
+    leaves = st.sampled_from(sig.atoms + ("top", "bot"))
+
+    def text(depth):
+        kind = draw(st.integers(0, 3 if depth < 4 else 0))
+        if kind == 0:
+            return draw(blank) + draw(leaves) + draw(blank)
+        if kind == 1:
+            return draw(blank) + "!" * draw(st.integers(1, 3)) + text(depth + 1)
+        if kind == 2:
+            return draw(blank) + "(" + text(depth + 1) + ")" + draw(blank)
+        ops = draw(st.lists(st.sampled_from([",", "&", ";"]), min_size=1, max_size=3))
+        return text(depth + 1) + "".join(op + text(depth + 1) for op in ops)
+
+    return sig, text(0)
+
+
+@given(formula_text())
+@settings(max_examples=300, deadline=None)
+def test_parsed_mask_matches_tree_walk(sig_text):
+    """The mask the parser builds is the tree walk's mask and the pointwise
+    truth table; the printed formula parses back to itself."""
+    sig, text = sig_text
+    f = parse_formula(text, sig)
+    assert f.mask == Formula(sig, f.ast).mask
+    assert f.mask == sum(1 << w for w, asg in all_assignments(sig) if eval_node(f.ast, asg))
+    g = parse_formula(str(f), sig)
+    assert (str(g), g.mask) == (str(f), f.mask)
 
 
 class TestConditional:

@@ -14,7 +14,13 @@ from systemw import (
 )
 
 from conftest import world_bits
-from oracles import oracle_w_preferred, random_consistent_base, transitive_closure
+from oracles import (
+    assignment_of_bits,
+    oracle_falsifies,
+    oracle_w_preferred,
+    random_consistent_base,
+    transitive_closure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +214,31 @@ def test_exports_sorted_and_match_oracle(seed):
     edges = [(int(lo), int(hi))
              for hi, lo in re.findall(r"^  w(\d+) -> w(\d+);$", ps.to_dot(), re.M)]
     assert first_difference(edges, sorted(ps.hasse_edges())) is None
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_compare_same_before_and_after_relation(seed):
+    """`compare` reads the class index alone: its answers are the oracle's
+    order, before `below` fills in the class relation and after."""
+    base = random_consistent_base(seed, max_atoms=6, max_conds=6)
+    ps = PreferredStructure(base)
+    n = base.signature.num_worlds
+    preferred = oracle_w_preferred(base, range(n))
+    falsified = [
+        {i for i in base.indices()
+         if oracle_falsifies(base[i], assignment_of_bits(base.signature, w))}
+        for w in range(n)
+    ]
+    want = [[
+        Comparison.STRICTLY_LESS if (w, w2) in preferred
+        else Comparison.STRICTLY_GREATER if (w2, w) in preferred
+        else Comparison.EQUAL_PROFILE if falsified[w] == falsified[w2]
+        else Comparison.INCOMPARABLE
+        for w2 in range(n)] for w in range(n)]
+    before = [[ps.compare(w, w2) for w2 in range(n)] for w in range(n)]
+    assert ps._cover_w is None  # the relation is not filled in yet
+    ps.below(0)
+    assert ps._cover_w is not None
+    after = [[ps.compare(w, w2) for w2 in range(n)] for w in range(n)]
+    assert before == want and after == want
