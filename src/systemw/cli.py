@@ -197,8 +197,28 @@ def cmd_fuzz(args) -> int:
     return EXIT_YES if failures == 0 else EXIT_NO
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a fault: `main` prints the message as
+    one line on stderr and exits 1, where argparse would print its usage
+    block and exit 2, the code of a negative answer."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _count(text: str) -> int:
+    """A non-negative integer flag value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="systemw",
         description="Reasoning over conditional belief bases: system W inference "
         "with system Z and p-entailment baselines, tolerance partitions, "
@@ -233,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("postulates", help="run postulate and lemma checks")
     p.add_argument("file")
     p.add_argument("--mode", choices=["w", "z", "p"], default="w")
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checks", default=",".join(CHECKS))
     p.add_argument("--json", action="store_true")
@@ -241,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="run checks over generated split bases")
     p.add_argument("--vars", type=int, default=2)
-    p.add_argument("--conds", type=int, default=2)
-    p.add_argument("--cases", type=int, default=100)
+    p.add_argument("--conds", type=_count, default=2)
+    p.add_argument("--cases", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count, default=2)
     p.add_argument("--mode", choices=["w", "z", "p"], default="w")
     p.add_argument("--checks", default="synsplit")
     p.set_defaults(func=cmd_fuzz)
@@ -253,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         BeliefBaseFormatError,

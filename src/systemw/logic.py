@@ -94,6 +94,16 @@ class Signature:
             a if (bits >> i) & 1 else "!" + a for i, a in enumerate(self.atoms)
         )
 
+    def render_worlds(self) -> list:
+        """`render_world` of every world, in world order, built by doubling:
+        the worlds without atom i come first, then the worlds with it."""
+        if not self.atoms:
+            return ["-"]
+        labels = [""]
+        for a in self.atoms:
+            labels = [label + "!" + a for label in labels] + [label + a for label in labels]
+        return labels
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Signature) and self.atoms == other.atoms
 

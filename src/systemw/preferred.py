@@ -7,10 +7,13 @@ highest layer where their profiles differ, its falsified set is a strict
 subset of the other's.
 
 The minimal worlds of a set are found by a descent from the top layer that
-needs only each layer's falsification masks. The relation itself is kept as
-a list of profile classes, each a (profile, world mask) pair, sorted so that
-every class comes before every class above it; that list is built on first
-use, by the profile, comparison and relation queries only.
+needs only each layer's falsification masks. The relation itself is kept per
+profile class, a (profile, world mask) pair; the class list and the index of
+every world's class are built on first use, by the profile, comparison and
+relation queries only. The relation between the classes is built over the
+trie of their profiles, top layer first: two classes are related only at
+the layer where their profiles first differ, so only the children of one
+trie node are ever compared, and covers are read off the trie as well.
 """
 
 from __future__ import annotations
@@ -44,6 +47,30 @@ def _less(p: tuple, q: tuple) -> bool:
 _ONE = re.compile("1")
 
 
+def _lower_covers(keys: list) -> list:
+    """Per set of `keys` (distinct bitmasks, sorted by size), the indices of
+    the sets it covers: its strict subsets with no set of `keys` strictly
+    between. A strict subset is smaller, and among the subsets of one set,
+    the larger ones are tried first, so each is a cover unless it lies within
+    a cover already found."""
+    covers = []
+    start = 0  # the first set of the current size
+    for p, x in enumerate(keys):
+        if keys[start].bit_count() < x.bit_count():
+            start = p
+        out = ~x
+        mine = []
+        for q in reversed([q for q in range(start) if not keys[q] & out]):
+            y = keys[q]
+            for r in mine:
+                if not y & ~keys[r]:
+                    break
+            else:
+                mine.append(q)
+        covers.append(mine)
+    return covers
+
+
 def _bits(mask: int) -> list:
     """Positions of the set bits of `mask`, ascending. One scan of the binary
     string: stripping the lowest bit repeatedly would copy a 2^n-bit mask
@@ -55,9 +82,9 @@ class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
     `minimal` descends the tolerance layers. `classes` lists the profile
-    classes as (per-layer profile, world mask) pairs, with every class before
-    the classes above it; it and the relation between classes are computed
-    on first use.
+    classes as (per-layer profile, world mask) pairs. It, the world-to-class
+    index and the relation between classes (built over the profile trie) are
+    computed on first use.
     """
 
     def __init__(
@@ -100,41 +127,89 @@ class PreferredStructure:
                         nxt.append((prof, xi, m ^ hit))
                 split = nxt
             classes = [(prof + (xi,), m) for prof, xi, m in split]
-        # A class strictly below another has a smaller falsified set at the
-        # deciding layer and equal sets above it, so it sorts first.
-        classes.sort(key=lambda c: [xi.bit_count() for xi in reversed(c[0])])
         return classes
 
     @cached_property
     def _class_id(self) -> array:
-        """The index in `classes` of every world's class."""
-        class_id = array("I", bytes(4 * self.signature.num_worlds))
+        """The index in `classes` of every world's class, in one pass over
+        the worlds. A class is fixed by the set of conditionals its worlds
+        falsify: each conditional's mask, written as a string, gives one
+        character of that set per world."""
+        conds = [i for layer in self.partition.layers for i in layer]
+        num_worlds = self.signature.num_worlds
+        if not conds:
+            return array("I", bytes(4 * num_worlds))
+        columns = [format(self.base[i].falsification_mask, f"0{num_worlds}b")[::-1]
+                   for i in conds]
+        index = {}
         for c, (_, m) in enumerate(self.classes):
-            for w in _bits(m):
-                class_id[w] = c
-        return class_id
+            w = (m & -m).bit_length() - 1  # any world of the class
+            index[tuple([column[w] for column in columns])] = c
+        return array("I", map(index.__getitem__, zip(*columns)))
 
     def _relate(self) -> None:
         """Fill in the class relation: per class, the worlds strictly below
         it, strictly above it and covering it (above it with nothing strictly
-        between)."""
+        between).
+
+        Two classes are related only at the highest layer where their
+        profiles differ. So the classes form a trie keyed by their falsified
+        sets, top layer first, and only siblings in it are compared. A class
+        lies below every class of a sibling subtree whose set contains its
+        own, and it is covered by the classes minimal in such a subtree when
+        that set covers its own among the siblings and it is maximal in its
+        own subtree: a class strictly between the two would have to sit in
+        one of the two subtrees or in a sibling strictly between them."""
         if self._cover_w is not None:
             return
         classes = self.classes
         n = len(classes)
-        down, up = [0] * n, [0] * n  # bitsets of class indices
         down_w, up_w, cover_w = [0] * n, [0] * n, [0] * n
-        for c, (prof, m) in enumerate(classes):
-            for d in range(c):
-                if _less(classes[d][0], prof):
-                    down[c] |= 1 << d
-                    up[d] |= 1 << c
-                    down_w[c] |= classes[d][1]
-                    up_w[d] |= m
-        for d in range(n):
-            for c in _bits(up[d]):
-                if up[d] & down[c] == 0:
-                    cover_w[d] |= classes[c][1]
+        # A trie node, built from the lowest layer up: (a profile of its
+        # classes, its worlds, the worlds of its classes minimal within it,
+        # its classes, its classes maximal within it).
+        nodes = [(prof, m, m, [c], [c]) for c, (prof, m) in enumerate(classes)]
+        for j in range(len(self.partition.layers)):
+            groups = {}  # the children of each node of the next layer up
+            for node in nodes:
+                groups.setdefault(node[0][j + 1:], []).append(node)
+            nodes = []
+            for kids in groups.values():
+                if len(kids) == 1:
+                    nodes.append(kids[0])
+                    continue
+                kids.sort(key=lambda kid: kid[0][j].bit_count())
+                profs, worlds, least, members, most = zip(*kids)
+                covered = _lower_covers([prof[j] for prof in profs])
+                # Per child, the worlds of the siblings below it and above
+                # it, and those of the minimal classes of the siblings
+                # covering it.
+                below, above, cover = [0] * len(kids), [0] * len(kids), [0] * len(kids)
+                for p, lower in enumerate(covered):
+                    for q in lower:
+                        below[p] |= worlds[q] | below[q]
+                for p in range(len(kids) - 1, -1, -1):
+                    for q in covered[p]:
+                        above[q] |= worlds[p] | above[p]
+                        cover[q] |= least[p]
+                node_worlds = node_least = 0
+                node_members, node_most = [], []
+                for p in range(len(kids)):
+                    node_worlds |= worlds[p]
+                    node_members += members[p]
+                    if below[p]:
+                        for c in members[p]:
+                            down_w[c] |= below[p]
+                    else:
+                        node_least |= least[p]
+                    if above[p]:
+                        for c in members[p]:
+                            up_w[c] |= above[p]
+                        for c in most[p]:
+                            cover_w[c] |= cover[p]
+                    else:
+                        node_most += most[p]
+                nodes.append((profs[0], node_worlds, node_least, node_members, node_most))
         self._down_w, self._up_w = down_w, up_w
         self._cover_w = cover_w  # set last: it marks the relation as filled in
 
@@ -229,15 +304,14 @@ class PreferredStructure:
         """Hasse diagram; arrows point from a world to the more-preferred one.
         Edges come sorted by the more-preferred world, then the other."""
         self._relate()
-        sig = self.signature
         lines = ["digraph preferred_structure {"]
-        for w in range(sig.num_worlds):
-            lines.append(f'  w{w} [label="{sig.render_world(w)}"];')
+        lines += [f'  w{w} [label="{label}"];'
+                  for w, label in enumerate(self.signature.render_worlds())]
         heads = [[f"  w{hi} -> w" for hi in _bits(m)] for m in self._cover_w]
         for lo, c in enumerate(self._class_id):
             if heads[c]:
                 tail = f"{lo};"
-                lines.extend([head + tail for head in heads[c]])
+                lines.append((tail + "\n").join(heads[c]) + tail)
         lines.append("}")
         return "\n".join(lines)
 
@@ -246,8 +320,7 @@ class PreferredStructure:
         preferred to w2, as world labels, sorted by w then w2; every row ends
         in a newline, so an empty relation gives the empty string."""
         self._relate()
-        sig = self.signature
-        labels = [sig.render_world(w) for w in range(sig.num_worlds)]
+        labels = self.signature.render_worlds()
         uppers = [[labels[w2] for w2 in _bits(m)] for m in self._up_w]
         rows = []
         for w, c in enumerate(self._class_id):

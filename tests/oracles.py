@@ -191,6 +191,35 @@ def random_consistent_base(seed: int, max_atoms: int, max_conds: int) -> BeliefB
     raise RuntimeError("no consistent base found")
 
 
+def random_layered_base(seed: int, max_atoms: int, max_conds: int,
+                        min_layers: int) -> BeliefBase:
+    """Seed-deterministic consistent base with at least `min_layers`
+    tolerance layers: random conditionals next to a chain of nested
+    exceptions (y|x0), (!y|x0,x1), (y|x0,x1,x2), ... on random atoms."""
+    from systemw.tolerance import tolerance_partition
+
+    rng = random.Random(seed)
+    for _ in range(1000):
+        atoms = tuple("abcdefgh"[:rng.randint(min_layers + 1, max_atoms)])
+        sig = Signature(atoms)
+        y, *xs = rng.sample(atoms, min_layers + 1)
+        conds = [
+            Conditional(Formula(sig, Conj(tuple(Var(x) for x in xs[:k + 1]))),
+                        Formula(sig, Var(y) if k % 2 == 0 else Neg(Var(y))))
+            for k in range(min_layers)
+        ]
+        for _ in range(rng.randint(0, max_conds)):
+            ante = Formula(sig, random_node(rng, atoms, 2))
+            cons = Formula(sig, random_node(rng, atoms, 2))
+            conds.append(Conditional(ante, cons))
+        rng.shuffle(conds)
+        base = BeliefBase(sig, conds)
+        partition = tolerance_partition(base)
+        if partition is not None and len(partition.layers) >= min_layers:
+            return base
+    raise RuntimeError("no layered base found")
+
+
 def transitive_closure(edges: set, num_worlds: int) -> set:
     """Closure of a set of (lower, upper) pairs by repeated composition."""
     below: dict = {w: set() for w in range(num_worlds)}
@@ -207,3 +236,59 @@ def transitive_closure(edges: set, num_worlds: int) -> set:
                 below[hi] |= extra
                 changed = True
     return {(lo, hi) for hi, los in below.items() for lo in los}
+
+
+def profile_less(p: tuple, q: tuple) -> bool:
+    """Per-layer profile p strictly below q: at the highest layer where they
+    differ, p's falsified set is a strict subset of q's."""
+    for mine, theirs in zip(reversed(p), reversed(q)):
+        if mine != theirs:
+            return mine & ~theirs == 0
+    return False
+
+
+def set_bits(mask: int) -> list:
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def reference_relation(ps) -> tuple:
+    """The class relation of a `PreferredStructure`, by comparing every pair
+    of its classes: per class, the worlds strictly below it, strictly above
+    it and covering it (above it with no class strictly between)."""
+    classes = ps.classes
+    n = len(classes)
+    down, up = [0] * n, [0] * n  # bitsets of class indices
+    down_w, up_w, cover_w = [0] * n, [0] * n, [0] * n
+    for c, (prof, m) in enumerate(classes):
+        for d, (prof2, m2) in enumerate(classes):
+            if profile_less(prof2, prof):
+                down[c] |= 1 << d
+                up[d] |= 1 << c
+                down_w[c] |= m2
+                up_w[d] |= m
+    for d in range(n):
+        for c in set_bits(up[d]):
+            if up[d] & down[c] == 0:
+                cover_w[d] |= classes[c][1]
+    return down_w, up_w, cover_w
+
+
+def reference_class_id(ps) -> list:
+    """The index in `ps.classes` of every world's class, class by class."""
+    class_id = [None] * ps.signature.num_worlds
+    for c, (_, m) in enumerate(ps.classes):
+        for w in set_bits(m):
+            class_id[w] = c
+    return class_id
+
+
+def oracle_hasse(base: BeliefBase, worlds) -> set:
+    """Transitive reduction of `oracle_w_preferred`: the pairs (w, w2) with
+    no world of `worlds` strictly between them."""
+    preferred = oracle_w_preferred(base, worlds)
+    above = {w: set() for w in worlds}
+    below = {w: set() for w in worlds}
+    for w, w2 in preferred:
+        above[w].add(w2)
+        below[w2].add(w)
+    return {(w, w2) for w, w2 in preferred if not above[w] & below[w2]}

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,29 @@ class TestOrder:
         code, _, err = run(capsys, "order", str(p))
         assert code == 1 and err
 
+    @pytest.mark.parametrize("name", ["chain11", "split5x5"])
+    @pytest.mark.parametrize("fmt", ["dot", "tsv"])
+    def test_golden_hashes(self, monkeypatch, tmp_path, name, fmt):
+        # The tsv of the 11-atom chain is 73 MB, so the output is hashed as
+        # it is written instead of captured.
+        if name == "chain11":
+            path = tmp_path / "chain11.cb"
+            path.write_text(chain_text(11))
+        else:
+            path = GOLDEN / "split5x5.cb"
+        digest = hashlib.sha256()
+
+        class HashingStdout:
+            def write(self, text):
+                digest.update(text.encode())
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", HashingStdout())
+        assert main(["order", str(path), "--format", fmt]) == 0
+        want = dict(line.split()[::-1]
+                    for line in (GOLDEN / "order.sha256").read_text().splitlines())
+        assert digest.hexdigest() == want[f"{name}.{fmt}"]
+
 
 class TestPostulates:
     def test_all_pass_for_w(self, capsys, example1_file):
@@ -334,3 +359,36 @@ class TestFuzz:
         assert len(fail_lines) == failures
         for line in fail_lines:
             assert "seed=" in line
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["infer", "FILE", "b", "f", "--mode", "x"],
+         "argument --mode: invalid choice: 'x'"),
+        (["fuzz", "--cases", "x"],
+         "argument --cases: expected a non-negative integer, got 'x'"),
+        (["fuzz", "--cases", "-1"],
+         "argument --cases: expected a non-negative integer, got '-1'"),
+        (["fuzz", "--conds", "-2"],
+         "argument --conds: expected a non-negative integer, got '-2'"),
+        (["fuzz", "--bound", "-1"],
+         "argument --bound: expected a non-negative integer, got '-1'"),
+        (["postulates", "FILE", "--bound", "-1"],
+         "argument --bound: expected a non-negative integer, got '-1'"),
+        (["order", "FILE", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ], ids=["mode", "cases-text", "cases-negative", "conds", "fuzz-bound",
+            "postulates-bound", "unknown-flag", "no-command"])
+    def test_bad_flags_are_one_line_faults(self, capsys, example1_file, argv,
+                                           message):
+        argv = [example1_file if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["infer", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: systemw infer") and err == ""

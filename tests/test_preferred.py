@@ -13,12 +13,19 @@ from systemw import (
     parse_conditional,
 )
 
-from conftest import world_bits
+from systemw.cli import load_belief_base
+
+from conftest import chain_text, world_bits
 from oracles import (
     assignment_of_bits,
     oracle_falsifies,
+    oracle_hasse,
     oracle_w_preferred,
     random_consistent_base,
+    random_layered_base,
+    reference_class_id,
+    reference_relation,
+    set_bits,
     transitive_closure,
 )
 
@@ -242,3 +249,45 @@ def test_compare_same_before_and_after_relation(seed):
     assert ps._cover_w is not None
     after = [[ps.compare(w, w2) for w2 in range(n)] for w in range(n)]
     assert before == want and after == want
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_hasse_edges_match_oracle(seed, vars_per_part):
+    """`hasse_edges` is the transitive reduction of the oracle's order, on
+    bases of two or more layers and on generated split bases."""
+    bases = [random_layered_base(seed, max_atoms=7, max_conds=4, min_layers=2),
+             generate_split_base(vars_per_part, 3, seed)[0]]
+    for base in bases:
+        worlds = range(base.signature.num_worlds)
+        assert PreferredStructure(base).hasse_edges() == oracle_hasse(base, worlds)
+
+
+REFERENCE_BASES = (
+    [pytest.param(chain_text(n), id=f"chain{n}") for n in range(8, 13)]
+    + [pytest.param(("split", s), id=f"split5x5-{s}") for s in range(3)]
+    + [pytest.param(("layered", s), id=f"layers3-{s}") for s in range(6)]
+    + [pytest.param("signature:\n(top|top)\n", id="zero-atoms")]
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_BASES)
+def test_relation_matches_pairwise_reference(spec):
+    """The trie-built relation and the one-pass class index equal the
+    comparison of every pair of classes and the class-by-class index."""
+    if isinstance(spec, str):
+        base = load_belief_base(spec)
+    elif spec[0] == "split":
+        base = generate_split_base(5, 5, 300 + spec[1])[0]
+    else:
+        base = random_layered_base(400 + spec[1], max_atoms=7, max_conds=5,
+                                   min_layers=3)
+    ps = PreferredStructure(base)
+    class_id = reference_class_id(ps)
+    assert list(ps._class_id) == class_id
+    down_w, up_w, cover_w = reference_relation(ps)
+    worlds = range(base.signature.num_worlds)
+    assert [ps.below(w) for w in worlds] == [down_w[class_id[w]] for w in worlds]
+    assert [ps.above(w) for w in worlds] == [up_w[class_id[w]] for w in worlds]
+    assert ps.hasse_edges() == {
+        (w, w2) for w in worlds for w2 in set_bits(cover_w[class_id[w]])}
