@@ -8,15 +8,11 @@ executable postulate/lemma verification.
 from .logic import (
     BeliefBase,
     Conditional,
-    ConditionalStatus,
     Formula,
     FormulaSyntaxError,
     Signature,
     SignatureError,
     UnknownAtomError,
-    World,
-    marginalize,
-    merge_worlds,
     parse_conditional,
     parse_formula,
 )
@@ -44,7 +40,6 @@ __all__ = [
     "BeliefBase",
     "Comparison",
     "Conditional",
-    "ConditionalStatus",
     "Engine",
     "Formula",
     "FormulaSyntaxError",
@@ -58,7 +53,6 @@ __all__ = [
     "SyntaxSplitting",
     "TolerancePartition",
     "UnknownAtomError",
-    "World",
     "check_di",
     "check_ind",
     "check_lemma1",
@@ -70,8 +64,6 @@ __all__ = [
     "check_tv",
     "detect_splitting",
     "generate_split_base",
-    "marginalize",
-    "merge_worlds",
     "parse_conditional",
     "parse_formula",
     "tolerance_partition",

@@ -138,7 +138,8 @@ def cmd_order(args) -> int:
     if args.format == "dot":
         print(ps.to_dot())
     else:
-        sys.stdout.write(ps.to_tsv())
+        for rows in ps.to_tsv():
+            sys.stdout.write(rows)
     return EXIT_YES
 
 

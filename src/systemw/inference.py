@@ -46,8 +46,8 @@ class Engine:
             self._ps = PreferredStructure(base, partition=partition)
             self._minimal: dict = {}  # antecedent mask -> its minimal worlds
         elif mode is InferenceMode.Z:
-            # World mask per rank, where a world's rank is 1 + the highest
-            # layer in which it falsifies a conditional (0 if none).
+            # The mask of worlds per rank, where a world's rank is 1 + the
+            # highest layer in which it falsifies a conditional (0 if none).
             self._ranks = []
             above = 0
             for layer in reversed(partition.layers):

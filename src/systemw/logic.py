@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import reduce
 from typing import Iterator, Sequence
 
@@ -26,8 +25,11 @@ class SignatureError(ValueError):
 
 class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message)
         self.position = position
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (at position {self.position})"
 
 
 class UnknownAtomError(FormulaSyntaxError):
@@ -79,13 +81,6 @@ class Signature:
             self._atom_masks[i] = mask
         return mask
 
-    def world(self, bits: int) -> "World":
-        return World(self, bits)
-
-    def worlds(self) -> Iterator["World"]:
-        for bits in range(self.num_worlds):
-            yield World(self, bits)
-
     def render_world(self, bits: int) -> str:
         """Literal string, signature order, '!' prefixing negated atoms."""
         if not self.atoms:
@@ -112,44 +107,6 @@ class Signature:
 
     def __repr__(self) -> str:
         return f"Signature({', '.join(self.atoms)})"
-
-
-@dataclass(frozen=True)
-class World:
-    signature: Signature
-    bits: int
-
-    def truth(self, atom: str) -> bool:
-        return bool((self.bits >> self.signature.index(atom)) & 1)
-
-    def __str__(self) -> str:
-        return self.signature.render_world(self.bits)
-
-
-def merge_worlds(w1: World, w2: World, target: Signature) -> World:
-    """Combine worlds over disjoint signatures into one over their union."""
-    a1, a2 = set(w1.signature.atoms), set(w2.signature.atoms)
-    if a1 & a2:
-        raise SignatureError(f"sub-signatures overlap: {sorted(a1 & a2)}")
-    if set(target.atoms) != a1 | a2:
-        raise SignatureError("target signature is not the union of the sub-signatures")
-    bits = 0
-    for i, atom in enumerate(target.atoms):
-        src = w1 if atom in a1 else w2
-        if src.truth(atom):
-            bits |= 1 << i
-    return World(target, bits)
-
-
-def marginalize(world: World, sub: Signature) -> World:
-    """Restrict a world's assignment to a sub-signature."""
-    bits = 0
-    for i, atom in enumerate(sub.atoms):
-        if atom not in world.signature:
-            raise SignatureError(f"atom {atom!r} not in the world's signature")
-        if world.truth(atom):
-            bits |= 1 << i
-    return World(sub, bits)
 
 
 # --- formula syntax trees ---------------------------------------------------
@@ -257,14 +214,6 @@ class Formula:
         if self._mask is None:
             self._mask = _node_mask(self.ast, self.signature)
         return self._mask
-
-    def models(self) -> frozenset:
-        mask = self.mask
-        return frozenset(
-            World(self.signature, w)
-            for w in range(self.signature.num_worlds)
-            if (mask >> w) & 1
-        )
 
     def satisfiable(self) -> bool:
         return self.mask != 0
@@ -408,12 +357,6 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 # --- conditionals and belief bases -------------------------------------------
 
-class ConditionalStatus(Enum):
-    VERIFIED = "verified"
-    FALSIFIED = "falsified"
-    NOT_APPLICABLE = "not applicable"
-
-
 class Conditional:
     """Defeasible rule (B|A): 'if A then usually B'."""
 
@@ -440,16 +383,6 @@ class Conditional:
     def atoms(self) -> frozenset:
         return atoms_of(self.antecedent.ast) | atoms_of(self.consequent.ast)
 
-    def evaluate(self, world: World) -> ConditionalStatus:
-        if world.signature != self.signature:
-            raise SignatureError("world over a different signature")
-        w = world.bits
-        if (self.verification_mask >> w) & 1:
-            return ConditionalStatus.VERIFIED
-        if (self.falsification_mask >> w) & 1:
-            return ConditionalStatus.FALSIFIED
-        return ConditionalStatus.NOT_APPLICABLE
-
     def __str__(self) -> str:
         return f"({self.consequent}|{self.antecedent})"
 
@@ -458,18 +391,27 @@ class Conditional:
 
 
 def parse_conditional(text: str, sig: Signature) -> Conditional:
-    """Parse '(B|A)' with the consequent before the bar."""
+    """Parse '(B|A)' with the consequent before the bar. Fault positions
+    count from the opening parenthesis, leading blanks removed."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise FormulaSyntaxError("conditional must be enclosed in parentheses", 0)
-    body = s[1:-1]
-    bars = body.count("|")
+    bar = s.find("|")
+    bars = s.count("|")
     if bars != 1:
         # Point at the second bar, or at the closing parenthesis if none.
-        at = s.find("|", s.find("|") + 1) if bars else len(s) - 1
+        at = s.find("|", bar + 1) if bars else len(s) - 1
         raise FormulaSyntaxError("conditional needs exactly one '|'", at)
-    cons_text, ante_text = body.split("|")
-    return Conditional(parse_formula(ante_text, sig), parse_formula(cons_text, sig))
+    halves = []
+    # The antecedent is parsed first: when both halves have a fault, its
+    # fault is the one reported.
+    for start, end in ((bar + 1, len(s) - 1), (1, bar)):
+        try:
+            halves.append(parse_formula(s[start:end], sig))
+        except FormulaSyntaxError as e:
+            e.position += start  # count from the opening parenthesis
+            raise
+    return Conditional(*halves)
 
 
 class BeliefBase:

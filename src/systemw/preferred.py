@@ -315,16 +315,15 @@ class PreferredStructure:
         lines.append("}")
         return "\n".join(lines)
 
-    def to_tsv(self) -> str:
+    def to_tsv(self) -> Iterator[str]:
         """The full relation, one "w<TAB>w2" row per pair with w strictly
         preferred to w2, as world labels, sorted by w then w2; every row ends
-        in a newline, so an empty relation gives the empty string."""
+        in a newline, so an empty relation yields nothing. Yields the rows of
+        one world w at a time, so the whole text is never held at once."""
         self._relate()
         labels = self.signature.render_worlds()
         uppers = [[labels[w2] for w2 in _bits(m)] for m in self._up_w]
-        rows = []
         for w, c in enumerate(self._class_id):
             if uppers[c]:
                 label = labels[w]
-                rows.append(label + "\t" + ("\n" + label + "\t").join(uppers[c]) + "\n")
-        return "".join(rows)
+                yield label + "\t" + ("\n" + label + "\t").join(uppers[c]) + "\n"

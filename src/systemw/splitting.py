@@ -549,7 +549,9 @@ LEMMA_CHECKS = {
 
 # --- seeded generation of split belief bases ---------------------------------
 
-MAX_GENERATION_ATTEMPTS = 500
+# Both parts are redrawn together: two 1-atom parts of 3 conditionals are
+# consistent in 1 draw of 64, so 10,000 draws all fail with odds of 4e-69.
+MAX_GENERATION_ATTEMPTS = 10_000
 
 
 def generate_split_base(vars_per_part: int, conds_per_part: int, seed: int) -> tuple:

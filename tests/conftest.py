@@ -29,7 +29,7 @@ def example1_file(tmp_path):
 
 
 def world_bits(sig, positives):
-    """World as an int from the set of atoms that are true."""
+    """A world as an int from the set of atoms that are true."""
     bits = 0
     for a in positives:
         bits |= 1 << sig.index(a)

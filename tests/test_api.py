@@ -15,8 +15,16 @@ REMOVED_FUNCTIONS = (
     "FUZZ_CHECKS",
     "_run_check",
     "_layers_list",
+    "ConditionalStatus",
+    "World",
+    "marginalize",
+    "merge_worlds",
 )
 REMOVED_METHODS = (
+    (logic.Conditional, "evaluate"),
+    (logic.Formula, "models"),
+    (logic.Signature, "world"),
+    (logic.Signature, "worlds"),
     (preferred.PreferredStructure, "less"),
     (splitting.PartScope, "formula_text"),
     (tolerance.TolerancePartition, "layer_of"),

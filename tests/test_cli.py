@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -79,6 +81,22 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == ("error: line 2: conditional needs exactly one '|' "
                        f"(at position {position})\n")
+
+    @pytest.mark.parametrize("line,message", [
+        ("(a|b,$)", "unexpected character '$' (at position 5)"),
+        ("  (a , q | b)", "unknown atom 'q' (at position 5)"),
+        ("(a,,b|a)", "unexpected token ',' (at position 3)"),
+        ("(|a)", "unexpected end of input (at position 1)"),
+        ("(a|)", "unexpected end of input (at position 3)"),
+    ])
+    def test_formula_fault_counts_from_the_conditional(self, capsys, tmp_path,
+                                                       line, message):
+        # Positions count from the opening parenthesis, as for the bar
+        # count, not from the start of the consequent or the antecedent.
+        p = tmp_path / "formula.cb"
+        p.write_text(f"signature: a, b\n{line}\n")
+        code, out, err = run(capsys, "check", str(p))
+        assert (code, out, err) == (1, "", f"error: line 2: {message}\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.cb")
@@ -163,6 +181,20 @@ class TestSplit:
         ]
 
 
+# Runs `order FILE --format tsv` under an address-space limit, in a fresh
+# process, and exits with its code.
+_ORDER_CHILD = """
+import resource, sys
+limit, path = int(sys.argv[1]), sys.argv[2]
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from systemw.cli import main
+sys.exit(main(["order", path, "--format", "tsv"]))
+"""
+
+
 class TestOrder:
     def test_dot_and_tsv_agree_under_closure(self, capsys, example1_file, example1):
         code, dot, _ = run(capsys, "order", example1_file, "--format", "dot")
@@ -226,6 +258,21 @@ class TestOrder:
         want = dict(line.split()[::-1]
                     for line in (GOLDEN / "order.sha256").read_text().splitlines())
         assert digest.hexdigest() == want[f"{name}.{fmt}"]
+
+    def test_tsv_streams_under_half_a_gigabyte(self, tmp_path):
+        # The 12-atom chain's tsv is 319 MB; written one world's rows at a
+        # time it fits in a 512 MB address space.
+        path = tmp_path / "chain12.cb"
+        path.write_text(chain_text(12))
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORDER_CHILD, str(512 << 20), str(path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr[-2000:]) == (0, "")
 
 
 class TestPostulates:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from systemw.logic import (
     Conditional,
-    ConditionalStatus,
     Conj,
     Disj,
     Formula,
@@ -16,9 +15,6 @@ from systemw.logic import (
     SignatureError,
     UnknownAtomError,
     Var,
-    World,
-    marginalize,
-    merge_worlds,
     parse_conditional,
     parse_formula,
 )
@@ -62,8 +58,9 @@ class TestSignature:
 
     def test_atom_order_fixes_bits(self):
         sig = Signature(["b", "p", "f"])
-        w = sig.world(0b101)
-        assert w.truth("b") and not w.truth("p") and w.truth("f")
+        w = 0b101
+        truth = [(w >> sig.index(a)) & 1 for a in ("b", "p", "f")]
+        assert truth == [1, 0, 1]
 
     def test_render_world(self):
         sig = Signature(["b", "p", "f", "v", "d"])
@@ -136,16 +133,16 @@ class TestParser:
 class TestModSet:
     def test_top_all_worlds(self):
         sig = Signature(["a", "b", "c"])
-        assert len(parse_formula("top", sig).models()) == 8
+        assert parse_formula("top", sig).mask.bit_count() == 8
 
     def test_bot_empty(self):
         sig = Signature(["a", "b", "c"])
-        assert parse_formula("bot", sig).models() == frozenset()
+        assert parse_formula("bot", sig).mask == 0
 
     def test_unique_model(self):
         sig = Signature(["b", "p"])
-        models = parse_formula("b,!p", sig).models()
-        assert models == frozenset({World(sig, 0b01)})
+        mask = parse_formula("b,!p", sig).mask
+        assert [w for w in range(sig.num_worlds) if (mask >> w) & 1] == [0b01]
 
     def test_set_algebra_exhaustive(self):
         # negation = complement, conjunction = intersection, disjunction = union
@@ -228,92 +225,46 @@ def test_parsed_mask_matches_tree_walk(sig_text):
 
 
 class TestConditional:
+    @staticmethod
+    def status(c, w):
+        """(verified, falsified) bits of world w for conditional c."""
+        return (c.verification_mask >> w) & 1, (c.falsification_mask >> w) & 1
+
     def test_verified(self, example1):
         sig = example1.signature
         c = example1[0]  # (f|b)
-        w = World(sig, world_bits(sig, "bf"))
-        assert c.evaluate(w) is ConditionalStatus.VERIFIED
+        assert self.status(c, world_bits(sig, "bf")) == (1, 0)
 
     def test_falsified(self, example1):
         sig = example1.signature
         c = example1[3]  # (!f|p)
-        w = World(sig, world_bits(sig, "pbf"))
-        assert c.evaluate(w) is ConditionalStatus.FALSIFIED
+        assert self.status(c, world_bits(sig, "pbf")) == (0, 1)
 
     def test_not_applicable(self, example1):
         sig = example1.signature
         c = example1[1]  # (!v|d)
-        w = World(sig, world_bits(sig, ""))
-        assert c.evaluate(w) is ConditionalStatus.NOT_APPLICABLE
+        assert self.status(c, world_bits(sig, "")) == (0, 0)
 
-    def test_statuses_partition_worlds(self, example1):
+    def test_verification_and_falsification_disjoint(self, example1):
         for c in example1:
-            for w in example1.signature.worlds():
-                statuses = [
-                    s for s in ConditionalStatus if c.evaluate(w) is s
-                ]
-                assert len(statuses) == 1
+            assert c.verification_mask & c.falsification_mask == 0
+            assert c.verification_mask | c.falsification_mask == c.antecedent.mask
 
     def test_parse_and_print(self):
         sig = Signature(["a", "b"])
         c = parse_conditional(" ( !b | a ) ", sig)
         assert str(c) == "(!b|a)"
 
+    def test_unknown_atom_position_counts_from_the_parenthesis(self):
+        with pytest.raises(UnknownAtomError) as exc:
+            parse_conditional("  (a , q | b)", Signature(["a", "b"]))
+        assert (exc.value.atom, exc.value.position) == ("q", 5)
+
     def test_mixed_signatures_rejected(self):
         f1 = parse_formula("a", Signature(["a"]))
         f2 = parse_formula("b", Signature(["b"]))
         with pytest.raises(SignatureError):
             Conditional(f1, f2)
-
-
-class TestMergeMarginalize:
-    def test_merge(self):
-        s1, s2 = Signature(["b", "f"]), Signature(["d"])
-        target = Signature(["b", "f", "d"])
-        w = merge_worlds(World(s1, 0b11), World(s2, 0b1), target)
-        assert w.bits == 0b111
-
-    def test_merge_with_empty(self):
-        s1, s2 = Signature(["b", "f"]), Signature([])
-        target = Signature(["b", "f"])
-        assert merge_worlds(World(s1, 0b10), World(s2, 0), target).bits == 0b10
-
-    def test_overlap_rejected(self):
-        s1, s2 = Signature(["a", "b"]), Signature(["b"])
-        with pytest.raises(SignatureError):
-            merge_worlds(World(s1, 0), World(s2, 0), Signature(["a", "b"]))
-
-    def test_target_mismatch_rejected(self):
-        s1, s2 = Signature(["a"]), Signature(["b"])
-        with pytest.raises(SignatureError):
-            merge_worlds(World(s1, 0), World(s2, 0), Signature(["a", "b", "c"]))
-
-    def test_marginalize(self):
-        sig = Signature(["b", "p", "f", "v", "d"])
-        w = World(sig, world_bits(sig, "bfv"))
-        sub = Signature(["v", "d"])
-        assert marginalize(w, sub) == World(sub, 0b01)
-
-    def test_marginalize_identity_and_empty(self):
-        sig = Signature(["a", "b"])
-        w = World(sig, 0b10)
-        assert marginalize(w, sig) == w
-        assert marginalize(w, Signature([])).bits == 0
-
-    def test_not_subset_rejected(self):
-        sig = Signature(["a"])
-        with pytest.raises(SignatureError):
-            marginalize(World(sig, 0), Signature(["b"]))
-
-    @given(st.integers(0, 3), st.integers(0, 7))
-    @settings(deadline=None)
-    def test_round_trip(self, bits1, bits2):
-        s1, s2 = Signature(["a", "b"]), Signature(["x", "y", "z"])
-        target = Signature(["a", "x", "b", "y", "z"])  # interleaved on purpose
-        w1, w2 = World(s1, bits1), World(s2, bits2)
-        merged = merge_worlds(w1, w2, target)
-        assert marginalize(merged, s1) == w1
-        assert marginalize(merged, s2) == w2
 
 
 def test_oracle_agreement_on_example_formulas(example1):

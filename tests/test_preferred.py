@@ -216,7 +216,7 @@ def test_exports_sorted_and_match_oracle(seed):
     pairs = sorted(oracle_w_preferred(base, range(sig.num_worlds)))
     assert first_difference(list(ps.pairs()), pairs) is None
     rows = [f"{label(w)}\t{label(w2)}\n" for w, w2 in pairs]
-    tsv = ps.to_tsv().splitlines(keepends=True)
+    tsv = "".join(ps.to_tsv()).splitlines(keepends=True)
     assert first_difference(tsv, rows) is None
     edges = [(int(lo), int(hi))
              for hi, lo in re.findall(r"^  w(\d+) -> w(\d+);$", ps.to_dot(), re.M)]

@@ -237,6 +237,14 @@ class TestGenerator:
             for part in detected.parts:
                 assert any(set(part) <= set(p) for p in spl.parts)
 
+    @pytest.mark.parametrize("seed", [1452, 2730, 3673, 4214, 8690, 18388, 18831])
+    def test_rare_seeds_find_a_consistent_base(self, seed):
+        # One 1-atom, 3-conditional draw in 64 is consistent; these seeds
+        # need 511-598 draws, more than a budget of 500 allowed.
+        base, spl = generate_split_base(1, 3, seed)
+        assert tolerance_partition(base) is not None
+        spl.validate(base)
+
     def test_antecedents_nontrivial(self):
         base, _ = generate_split_base(2, 3, 5)
         for c in base:
