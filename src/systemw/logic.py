@@ -5,6 +5,11 @@ bit i holds the truth value of atom i (in signature declaration order).
 Model sets are integers over the world space: bit w of a formula's mask is
 set iff world w satisfies the formula. All set algebra on models is plain
 integer bit arithmetic.
+
+`parse_formula` reads a formula in one loop over its tokens and folds the
+mask in as it goes. Each signature interns its literals: a token's node and
+mask are built once and shared by every formula parsed over it, which is why
+the syntax tree nodes are frozen.
 """
 
 from __future__ import annotations
@@ -41,13 +46,16 @@ class UnknownAtomError(FormulaSyntaxError):
 class Signature:
     """Ordered set of distinct atom names; the order fixes world bit layout."""
 
-    __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_atom_masks")
+    __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_atom_masks",
+                 "_literals", "_negated")
 
     def __init__(self, atoms: Sequence[str]):
         atoms = tuple(atoms)
         for a in atoms:
             if not _ATOM_RE.match(a):
                 raise SignatureError(f"invalid atom name: {a!r}")
+            if a in ("top", "bot"):  # formulas read these as the constants
+                raise SignatureError(f"reserved atom name: {a!r} is a constant")
         if len(set(atoms)) != len(atoms):
             raise SignatureError("atoms must be pairwise distinct")
         if len(atoms) > MAX_ATOMS:
@@ -58,6 +66,10 @@ class Signature:
         self.num_worlds = 1 << len(atoms)
         self.full_mask = (1 << self.num_worlds) - 1
         self._atom_masks: dict[int, int] = {}
+        # Literal token -> (node, mask), and the same for '!' before it;
+        # atoms are added by `_literal` on first use.
+        self._literals = {"top": (_TOP, self.full_mask), "bot": (_BOT, 0)}
+        self._negated = {"top": (Neg(_TOP), 0), "bot": (Neg(_BOT), self.full_mask)}
 
     def index(self, atom: str) -> int:
         try:
@@ -80,6 +92,16 @@ class Signature:
                 width <<= 1
             self._atom_masks[i] = mask
         return mask
+
+    def _literal(self, atom: str, negated: bool = False) -> tuple:
+        """(node, mask) of an atom of the signature, or of its negation,
+        built once and kept in the parser's literal tables."""
+        if negated:
+            node, mask = self._literals.get(atom) or self._literal(atom)
+            lit = self._negated[atom] = (Neg(node), mask ^ self.full_mask)
+        else:
+            lit = self._literals[atom] = (Var(atom), self.atom_mask(self._index[atom]))
+        return lit
 
     def render_world(self, bits: int) -> str:
         """Literal string, signature order, '!' prefixing negated atoms."""
@@ -123,6 +145,9 @@ class Top(Node):
 @dataclass(frozen=True)
 class Bot(Node):
     pass
+
+
+_TOP, _BOT = Top(), Bot()  # shared by every signature's literal tables
 
 
 @dataclass(frozen=True)
@@ -247,112 +272,119 @@ class Formula:
 # operator is reported when the parser reaches it.
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|[!(),;&]|\S")
 
-# Deepest nesting of '(' and '!' a formula may have: the parser recurses once
-# per level, and far deeper input would exhaust Python's recursion limit.
+# Deepest nesting of '(' and '!' a formula may have. The parser keeps its
+# open groups on a list, but `_node_text` and `atoms_of` recurse once per
+# level, and far deeper input would exhaust Python's recursion limit there.
 MAX_NESTING = 100
 
 
-class _Parser:
-    """Recursive descent over one token scan. Each step returns its subtree
-    and that subtree's model mask, so a parsed formula is walked once."""
-
-    def __init__(self, text: str, sig: Signature):
-        self.text = text
-        self.sig = sig
-        self.full = sig.full_mask
-        self.toks = _TOKEN_RE.findall(text)
-        self.toks.append(None)  # end of input
-        self.i = 0
-        self.depth = 0
-
-    def _at(self, i: int) -> int:
-        """Text position of token i, for an error there. A character outside
-        the grammar among tokens i .. self.i is reported first: such a
-        character ends the parse as soon as it is the next token, which for
-        an atom is before the atom is looked up."""
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
-        starts.append(len(self.text))
-        for k in range(i, self.i + 1):
-            tok = self.toks[k]
-            if tok is not None and not (_ATOM_RE.match(tok) or tok in "!(),;&"):
-                raise FormulaSyntaxError(f"unexpected character {tok!r}", starts[k])
-        return starts[i]
-
-    def parse(self) -> tuple:
-        node, mask = self._disj()
-        tok = self.toks[self.i]
-        if tok is not None:
-            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(self.i))
-        return node, mask
-
-    def _disj(self) -> tuple:
-        node, mask = self._conj()
-        if self.toks[self.i] != ";":
-            return node, mask
-        children = [node]
-        while self.toks[self.i] == ";":
-            self.i += 1
-            node, m = self._conj()
-            children.append(node)
-            mask |= m
-        return Disj(tuple(children)), mask
-
-    def _conj(self) -> tuple:
-        node, mask = self._lit()
-        tok = self.toks[self.i]
-        if tok != "," and tok != "&":
-            return node, mask
-        children = [node]
-        while tok == "," or tok == "&":
-            self.i += 1
-            node, m = self._lit()
-            children.append(node)
-            mask &= m
-            tok = self.toks[self.i]
-        return Conj(tuple(children)), mask
-
-    def _lit(self) -> tuple:
-        i = self.i
-        tok = self.toks[i]
-        if tok == "!" or tok == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise FormulaSyntaxError(
-                    f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'",
-                    self._at(i))
-            self.i = i + 1
-            if tok == "!":
-                node, mask = self._lit()
-                node, mask = Neg(node), mask ^ self.full  # mask lies within full
-            else:
-                node, mask = self._disj()
-                if self.toks[self.i] != ")":
-                    raise FormulaSyntaxError("expected ')'", self._at(self.i))
-                self.i += 1
-            self.depth -= 1
-            return node, mask
-        if tok == "top":
-            self.i = i + 1
-            return Top(), self.full
-        if tok == "bot":
-            self.i = i + 1
-            return Bot(), 0
-        index = self.sig._index.get(tok)
-        if index is not None:
-            self.i = i + 1
-            return Var(tok), self.sig.atom_mask(index)
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input", self._at(i))
-        if tok in (")", ",", ";", "&"):
-            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(i))
-        self.i = i + 1
-        raise UnknownAtomError(tok, self._at(i))
+def _at(text: str, toks: list, i: int, last: int) -> int:
+    """Text position of token i, for an error there. A character outside the
+    grammar among tokens i .. last is reported first: such a character ends
+    the parse as soon as it is the next token, which for an atom is before
+    the atom is looked up."""
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)]
+    starts.append(len(text))
+    for k in range(i, last + 1):
+        tok = toks[k]
+        if tok is not None and not (_ATOM_RE.match(tok) or tok in "!(),;&"):
+            raise FormulaSyntaxError(f"unexpected character {tok!r}", starts[k])
+    return starts[i]
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse text per the grammar: ';' disjunction, ','/'&' conjunction, '!' negation."""
-    node, mask = _Parser(text, sig).parse()
-    return Formula(sig, node, mask)
+    """Parse text per the grammar: ';' disjunction, ','/'&' conjunction, '!' negation.
+
+    One loop over the tokens. The open disjunction and conjunction of the
+    innermost group and its pending '!'s are locals; '(' pushes them and
+    ')' pops them. Each subformula's mask is folded in as it closes, so a
+    parsed formula is walked once. Literals, and '!' before a literal, come
+    from the signature's tables, so their nodes are shared."""
+    toks = _TOKEN_RE.findall(text)
+    toks.append(None)  # end of input
+    literals, negated, index = sig._literals, sig._negated, sig._index
+    full = sig.full_mask
+    stack = []  # the enclosing groups' (disj, dmask, conj, cmask, negs)
+    disj = conj = None  # children of the open disjunction / conjunction
+    dmask = cmask = 0
+    negs = depth = i = 0
+    while True:
+        # An operand: a literal, or the '!' or '(' that opens one.
+        tok = toks[i]
+        lit = literals.get(tok)
+        if lit is None:
+            if tok == "!" and depth < MAX_NESTING:
+                nxt = toks[i + 1]
+                lit = negated.get(nxt)
+                if lit is None and nxt in index:
+                    lit = sig._literal(nxt, negated=True)
+                if lit is not None:
+                    i += 1
+            if lit is None:
+                if tok == "!" or tok == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise FormulaSyntaxError(
+                            f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'",
+                            _at(text, toks, i, i))
+                    i += 1
+                    if tok == "!":
+                        negs += 1
+                    else:
+                        stack.append((disj, dmask, conj, cmask, negs))
+                        disj = conj = None
+                        negs = 0
+                    continue
+                if tok in index:
+                    lit = sig._literal(tok)
+                elif tok is None:
+                    raise FormulaSyntaxError("unexpected end of input", _at(text, toks, i, i))
+                elif tok in (")", ",", ";", "&"):
+                    raise FormulaSyntaxError(f"unexpected token {tok!r}", _at(text, toks, i, i))
+                else:
+                    raise UnknownAtomError(tok, _at(text, toks, i, i + 1))
+        node, mask = lit
+        i += 1
+        # After an operand: apply its '!'s, then close what the next token ends.
+        while True:
+            if negs:
+                depth -= negs
+                for _ in range(negs):
+                    node = Neg(node)
+                if negs & 1:
+                    mask ^= full  # mask lies within full
+                negs = 0
+            tok = toks[i]
+            if tok == "," or tok == "&":
+                if conj is None:
+                    conj, cmask = [node], mask
+                else:
+                    conj.append(node)
+                    cmask &= mask
+                break
+            if conj is not None:
+                conj.append(node)
+                node, mask, conj = Conj(tuple(conj)), mask & cmask, None
+            if tok == ";":
+                if disj is None:
+                    disj, dmask = [node], mask
+                else:
+                    disj.append(node)
+                    dmask |= mask
+                break
+            if disj is not None:
+                disj.append(node)
+                node, mask, disj = Disj(tuple(disj)), mask | dmask, None
+            if not stack:
+                if tok is None:
+                    return Formula(sig, node, mask)
+                raise FormulaSyntaxError(f"unexpected token {tok!r}", _at(text, toks, i, i))
+            if tok != ")":
+                raise FormulaSyntaxError("expected ')'", _at(text, toks, i, i))
+            disj, dmask, conj, cmask, negs = stack.pop()
+            depth -= 1
+            i += 1
+        i += 1
 
 
 # --- conditionals and belief bases -------------------------------------------

@@ -10,15 +10,20 @@ from __future__ import annotations
 import random
 
 from systemw.logic import (
+    _ATOM_RE,
+    _TOKEN_RE,
+    MAX_NESTING,
     BeliefBase,
     Bot,
     Conditional,
     Conj,
     Disj,
     Formula,
+    FormulaSyntaxError,
     Neg,
     Signature,
     Top,
+    UnknownAtomError,
     Var,
 )
 
@@ -292,3 +297,109 @@ def oracle_hasse(base: BeliefBase, worlds) -> set:
         above[w].add(w2)
         below[w2].add(w)
     return {(w, w2) for w, w2 in preferred if not above[w] & below[w2]}
+
+
+# --- reference parser -----------------------------------------------------------
+
+# The recursive descent parser that the one-loop `parse_formula` replaced,
+# kept as it was: its trees, masks, messages and positions are the reference.
+class _Parser:
+    """Recursive descent over one token scan. Each step returns its subtree
+    and that subtree's model mask, so a parsed formula is walked once."""
+
+    def __init__(self, text: str, sig: Signature):
+        self.text = text
+        self.sig = sig
+        self.full = sig.full_mask
+        self.toks = _TOKEN_RE.findall(text)
+        self.toks.append(None)  # end of input
+        self.i = 0
+        self.depth = 0
+
+    def _at(self, i: int) -> int:
+        """Text position of token i, for an error there. A character outside
+        the grammar among tokens i .. self.i is reported first: such a
+        character ends the parse as soon as it is the next token, which for
+        an atom is before the atom is looked up."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        starts.append(len(self.text))
+        for k in range(i, self.i + 1):
+            tok = self.toks[k]
+            if tok is not None and not (_ATOM_RE.match(tok) or tok in "!(),;&"):
+                raise FormulaSyntaxError(f"unexpected character {tok!r}", starts[k])
+        return starts[i]
+
+    def parse(self) -> tuple:
+        node, mask = self._disj()
+        tok = self.toks[self.i]
+        if tok is not None:
+            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(self.i))
+        return node, mask
+
+    def _disj(self) -> tuple:
+        node, mask = self._conj()
+        if self.toks[self.i] != ";":
+            return node, mask
+        children = [node]
+        while self.toks[self.i] == ";":
+            self.i += 1
+            node, m = self._conj()
+            children.append(node)
+            mask |= m
+        return Disj(tuple(children)), mask
+
+    def _conj(self) -> tuple:
+        node, mask = self._lit()
+        tok = self.toks[self.i]
+        if tok != "," and tok != "&":
+            return node, mask
+        children = [node]
+        while tok == "," or tok == "&":
+            self.i += 1
+            node, m = self._lit()
+            children.append(node)
+            mask &= m
+            tok = self.toks[self.i]
+        return Conj(tuple(children)), mask
+
+    def _lit(self) -> tuple:
+        i = self.i
+        tok = self.toks[i]
+        if tok == "!" or tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise FormulaSyntaxError(
+                    f"formula nested deeper than {MAX_NESTING} levels of '(' and '!'",
+                    self._at(i))
+            self.i = i + 1
+            if tok == "!":
+                node, mask = self._lit()
+                node, mask = Neg(node), mask ^ self.full  # mask lies within full
+            else:
+                node, mask = self._disj()
+                if self.toks[self.i] != ")":
+                    raise FormulaSyntaxError("expected ')'", self._at(self.i))
+                self.i += 1
+            self.depth -= 1
+            return node, mask
+        if tok == "top":
+            self.i = i + 1
+            return Top(), self.full
+        if tok == "bot":
+            self.i = i + 1
+            return Bot(), 0
+        index = self.sig._index.get(tok)
+        if index is not None:
+            self.i = i + 1
+            return Var(tok), self.sig.atom_mask(index)
+        if tok is None:
+            raise FormulaSyntaxError("unexpected end of input", self._at(i))
+        if tok in (")", ",", ";", "&"):
+            raise FormulaSyntaxError(f"unexpected token {tok!r}", self._at(i))
+        self.i = i + 1
+        raise UnknownAtomError(tok, self._at(i))
+
+
+def reference_parse_formula(text: str, sig: Signature) -> Formula:
+    node, mask = _Parser(text, sig).parse()
+    return Formula(sig, node, mask)

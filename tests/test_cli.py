@@ -98,6 +98,16 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(p))
         assert (code, out, err) == (1, "", f"error: line 2: {message}\n")
 
+    @pytest.mark.parametrize("command", ["check", "split"])
+    @pytest.mark.parametrize("name", ["top", "bot"])
+    def test_constant_declared_as_atom_is_a_fault(self, capsys, tmp_path, command, name):
+        # `(a|top)` would read `top` as the constant, not as the atom.
+        p = tmp_path / "reserved.cb"
+        p.write_text(f"signature: {name}, a\n(a|{name})\n")
+        code, out, err = run(capsys, command, str(p))
+        assert (code, out) == (1, "")
+        assert err == f"error: line 1: reserved atom name: '{name}' is a constant\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.cb")
         assert code == 1 and err

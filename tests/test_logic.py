@@ -1,8 +1,9 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from systemw.logic import (
     Conditional,
@@ -20,7 +21,13 @@ from systemw.logic import (
 )
 
 from conftest import world_bits
-from oracles import all_assignments, eval_node, oracle_model_bits, random_node
+from oracles import (
+    all_assignments,
+    eval_node,
+    oracle_model_bits,
+    random_node,
+    reference_parse_formula,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,6 +68,14 @@ class TestSignature:
         w = 0b101
         truth = [(w >> sig.index(a)) & 1 for a in ("b", "p", "f")]
         assert truth == [1, 0, 1]
+
+    @pytest.mark.parametrize("name", ["top", "bot"])
+    def test_constants_are_not_atoms(self, name):
+        # The parser reads these tokens as the constants, so an atom of that
+        # name could never be written in a formula.
+        with pytest.raises(SignatureError, match=f"reserved atom name: '{name}'"):
+            Signature(["a", name])
+        Signature(["a", name + "1", name + "_x"])
 
     def test_render_world(self):
         sig = Signature(["b", "p", "f", "v", "d"])
@@ -222,6 +237,78 @@ def test_parsed_mask_matches_tree_walk(sig_text):
     assert f.mask == sum(1 << w for w, asg in all_assignments(sig) if eval_node(f.ast, asg))
     g = parse_formula(str(f), sig)
     assert (str(g), g.mask) == (str(f), f.mask)
+
+
+def parse_outcome(parse, text, sig):
+    """What a parse gives: the tree's repr, the mask and the printed text,
+    or the error's type, message and position."""
+    try:
+        f = parse(text, sig)
+    except FormulaSyntaxError as e:
+        return type(e).__name__, e.args[0], e.position
+    return repr(f.ast), f.mask, str(f)
+
+
+# Pieces of token strings: atoms known to some signatures and not others,
+# the constants, the operators, blanks and characters outside the grammar.
+PIECES = DIFF_ATOMS + ("q", "top", "bot", "!", "(", ")", ",", ";", "&",
+                       " ", "\t", "$", "|", "A")
+
+
+@st.composite
+def token_text(draw):
+    """(signature, text): a random string of PIECES, most of it malformed,
+    sometimes inside 99, 100 or 101 levels of '(' and '!' and closed by
+    some of the ')' that those need."""
+    sig = Signature(DIFF_ATOMS[:draw(st.integers(1, 8))])
+    text = "".join(draw(st.lists(st.sampled_from(PIECES), max_size=12)))
+    levels = draw(st.sampled_from([0, 0, 99, 100, 101]))
+    if levels:
+        opener = draw(st.sampled_from(["(", "!", "(!", "!("]))
+        opener = (opener * levels)[:levels]
+        closers = ")" * draw(st.integers(0, opener.count("(")))
+        text = opener + text + closers
+    return sig, text
+
+
+@given(st.one_of(formula_text(), token_text()))
+# 330 '(' and '!' in all, but never more than 4 open at once.
+@example((Signature(["a"]), ";".join(["!!(!a)"] * 110)))
+@settings(max_examples=600, deadline=None)
+def test_parser_matches_recursive_descent_reference(sig_text):
+    """The one-loop parser gives the recursive descent parser's tree, mask
+    and text on every input, and its error type, message and position."""
+    sig, text = sig_text
+    assert parse_outcome(parse_formula, text, sig) == parse_outcome(
+        reference_parse_formula, text, sig)
+
+
+class TestInternedLiterals:
+    def test_same_token_same_node_and_mask(self):
+        sig = Signature(["a", "b"])
+        f, g = parse_formula("a,!b,top", sig), parse_formula("top;!b;(a)", sig)
+        assert [id(n) for n in f.ast.children] == [id(n) for n in reversed(g.ast.children)]
+        for text in ("a", "!b", "top", "bot", "!top"):
+            first, again = parse_formula(text, sig), parse_formula(text, sig)
+            assert first.ast is again.ast and first.mask is again.mask
+
+    def test_literal_masks_follow_the_signature_order(self):
+        ab, ba = Signature(["a", "b"]), Signature(["b", "a"])
+        assert parse_formula("a", ab).mask == ab.atom_mask(0)
+        assert parse_formula("a", ba).mask == ba.atom_mask(1)
+        assert parse_formula("a", ab).mask != parse_formula("a", ba).mask
+        assert parse_formula("!a", ab).mask != parse_formula("!a", ba).mask
+
+    def test_nodes_are_frozen(self):
+        # Interned nodes sit in every formula that uses their token, so a
+        # node that could change would change all of them.
+        sig = Signature(["a", "b"])
+        f = parse_formula("!a,(b;top)", sig)
+        neg, disj = f.ast.children
+        for node in (f.ast, neg, neg.child, disj, disj.children[0], disj.children[1]):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                node.child = Var("b")
+        assert str(parse_formula("!a,(b;top)", sig)) == "!a,(b;top)"
 
 
 class TestConditional:
