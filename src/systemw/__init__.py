@@ -17,7 +17,7 @@ from .logic import (
     parse_formula,
 )
 from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
-from .preferred import Comparison, PreferredStructure
+from .preferred import PreferredStructure
 from .inference import Engine, InferenceMode
 from .splitting import (
     GenerationError,
@@ -38,7 +38,6 @@ from .splitting import (
 
 __all__ = [
     "BeliefBase",
-    "Comparison",
     "Conditional",
     "Engine",
     "Formula",

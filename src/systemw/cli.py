@@ -6,7 +6,7 @@ Belief-base file format: the first non-comment line is
 the conditional indices used in partitions and reports.
 
 Exit codes: 0 affirmative/pass, 2 negative/fail, 1 fault (parse error,
-inconsistent base where consistency is required, bad flags).
+inconsistent base where consistency is required, bad flags, out of memory).
 """
 
 from __future__ import annotations
@@ -287,6 +287,11 @@ def main(argv=None) -> int:
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        # Raised where the process's memory limit stops an allocation; the
+        # structures it held are freed by the time it is caught here.
+        print("error: out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -2,16 +2,33 @@
 
 Every relation is invariant under logical equivalence, so the engines work on
 model masks; `Formula` arguments are reduced to their masks at the boundary.
+Each relation also satisfies right weakening and AND for a fixed antecedent,
+so A |~ B holds iff C(A) ⊆ B for one consequence mask C(A) per antecedent.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence
 
 from .logic import BeliefBase, Formula
 from .preferred import PreferredStructure
-from .tolerance import InconsistentBeliefBaseError, tolerance_partition
+from .tolerance import InconsistentBeliefBaseError, _partition_pairs, tolerance_partition
+
+
+def _p_consequence(pairs: list, full: int, a: int) -> int:
+    """C(A) under p-entailment, for the conditionals' (verification,
+    falsification) mask pairs. A |~ B is p-entailed iff the base extended
+    with (!B|A) is inconsistent. With A's worlds never safe, the tolerance
+    loop gets stuck on a set S of conditionals; the extension is
+    inconsistent iff the A-and-not-B worlds all falsify some conditional
+    of S."""
+    _, stuck = _partition_pairs(pairs, full & ~a)
+    fals = 0
+    for i in stuck:
+        fals |= pairs[i][1]
+    return a & ~fals
 
 
 class InferenceMode(Enum):
@@ -23,9 +40,10 @@ class InferenceMode(Enum):
 class Engine:
     """Answers entailment queries for one belief base under one mode.
 
-    Mode-specific state (preferred structure, Z ranks, tolerance mask pairs)
-    is computed once. W caches the minimal worlds of each antecedent mask on
-    first use; a cached value depends only on its key.
+    W and Z read the same preferred structure: C(A) is the minimal worlds of
+    A in W and A's worlds of the lowest rank in Z. P keeps the conditionals'
+    mask pairs. Every mode caches C(A) per antecedent mask on first use; a
+    cached value depends only on its key.
     """
 
     def __init__(
@@ -42,71 +60,37 @@ class Engine:
         if partition is None:
             raise InconsistentBeliefBaseError("belief base is inconsistent")
         self.partition = partition
-        if mode is InferenceMode.W:
-            self._ps = PreferredStructure(base, partition=partition)
-            self._minimal: dict = {}  # antecedent mask -> its minimal worlds
-        elif mode is InferenceMode.Z:
-            # The mask of worlds per rank, where a world's rank is 1 + the
-            # highest layer in which it falsifies a conditional (0 if none).
-            self._ranks = []
-            above = 0
-            for layer in reversed(partition.layers):
-                fals = 0
-                for i in layer:
-                    fals |= base[i].falsification_mask
-                self._ranks.append(fals & ~above)
-                above |= fals
-            self._ranks.append(self.full & ~above)
-            self._ranks.reverse()
-        else:
-            self._pairs = [
+        self._consequences: dict = {}  # antecedent mask -> C(A)
+        if mode is InferenceMode.P:
+            pairs = [
                 (base[i].verification_mask, base[i].falsification_mask)
                 for i in self._indices
             ]
+            # Not a bound method: the engine would then be in a reference
+            # cycle, and its cache freed only by the garbage collector.
+            self._compute = partial(_p_consequence, pairs, self.full)
+        else:
+            self._ps = PreferredStructure(base, partition=partition)
+            self._compute = (self._ps.minimal if mode is InferenceMode.W
+                             else self._ps.lowest_rank)
 
     @property
     def preferred_structure(self) -> PreferredStructure:
-        if self.mode is not InferenceMode.W:
-            raise ValueError("preferred structure is built for mode W only")
+        if self.mode is InferenceMode.P:
+            raise ValueError("preferred structure is built for modes W and Z only")
         return self._ps
 
-    def _min_rank(self, mask: int) -> int:
-        for r, worlds in enumerate(self._ranks):
-            if worlds & mask:
-                return r
-        return len(self._ranks)
+    def consequence(self, a: int) -> int:
+        """C(A): the worlds of antecedent mask `a` that decide its
+        inferences, so that A |~ B iff C(A) ⊆ B. C(0) is 0 in every mode."""
+        a &= self.full
+        c = self._consequences.get(a)
+        if c is None:
+            c = self._consequences[a] = self._compute(a)
+        return c
 
     def entails_masks(self, a: int, b: int) -> bool:
-        full = self.full
-        a &= full
-        b &= full
-        if a == 0:
-            return True
-        if self.mode is InferenceMode.W:
-            low = self._minimal.get(a)
-            if low is None:
-                low = self._minimal[a] = self._ps.minimal(a)
-            return low & ~b == 0
-        ab = a & b
-        anb = a & ~b
-        if self.mode is InferenceMode.Z:
-            return self._min_rank(ab) < self._min_rank(anb)
-        # p-entailment: the base extended with (!B|A) must be inconsistent.
-        # Every subset of the base is consistent, so the extension is
-        # consistent iff some stage of its tolerance partition tolerates
-        # (!B|A) before the stages get stuck.
-        remaining = self._pairs
-        while True:
-            fals = ab
-            for _, f in remaining:
-                fals |= f
-            safe = full & ~fals
-            if anb & safe:
-                return False
-            rest = [p for p in remaining if not p[0] & safe]
-            if len(rest) == len(remaining):
-                return True
-            remaining = rest
+        return self.consequence(a) & ~b == 0
 
     def entails(self, antecedent: Formula, consequent: Formula) -> bool:
         return self.entails_masks(antecedent.mask, consequent.mask)

@@ -243,22 +243,6 @@ class Formula:
     def satisfiable(self) -> bool:
         return self.mask != 0
 
-    def is_tautology(self) -> bool:
-        return self.mask == self.signature.full_mask
-
-    def equivalent(self, other: "Formula") -> bool:
-        if self.signature != other.signature:
-            raise SignatureError("formulas over different signatures")
-        return self.mask == other.mask
-
-    def negate(self) -> "Formula":
-        return Formula(self.signature, Neg(self.ast))
-
-    def conj(self, other: "Formula") -> "Formula":
-        if self.signature != other.signature:
-            raise SignatureError("formulas over different signatures")
-        return Formula(self.signature, Conj((self.ast, other.ast)))
-
     def __str__(self) -> str:
         return _node_text(self.ast)
 

@@ -7,9 +7,10 @@ highest layer where their profiles differ, its falsified set is a strict
 subset of the other's.
 
 The minimal worlds of a set are found by a descent from the top layer that
-needs only each layer's falsification masks. The relation itself is kept per
-profile class, a (profile, world mask) pair; the class list and the index of
-every world's class are built on first use, by the profile, comparison and
+needs only each layer's falsification masks; so are its worlds of the lowest
+system Z rank, which needs only each layer's union. The relation itself is
+kept per profile class, a (profile, world mask) pair; the class list and the
+index of every world's class are built on first use, by the profile and
 relation queries only. The relation between the classes is built over the
 trie of their profiles, top layer first: two classes are related only at
 the layer where their profiles first differ, so only the children of one
@@ -20,28 +21,11 @@ from __future__ import annotations
 
 import re
 from array import array
-from enum import Enum
 from functools import cached_property
-from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .logic import BeliefBase
 from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
-
-
-class Comparison(Enum):
-    STRICTLY_LESS = "strictly-less"
-    STRICTLY_GREATER = "strictly-greater"
-    EQUAL_PROFILE = "equal-profile"
-    INCOMPARABLE = "incomparable"
-
-
-def _less(p: tuple, q: tuple) -> bool:
-    """Profile p strictly below profile q: the highest differing layer decides."""
-    for j in range(len(p) - 1, -1, -1):
-        if p[j] != q[j]:
-            return p[j] & ~q[j] == 0
-    return False
 
 
 _ONE = re.compile("1")
@@ -81,10 +65,10 @@ def _bits(mask: int) -> list:
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
-    `minimal` descends the tolerance layers. `classes` lists the profile
-    classes as (per-layer profile, world mask) pairs. It, the world-to-class
-    index and the relation between classes (built over the profile trie) are
-    computed on first use.
+    `minimal` and `lowest_rank` descend the tolerance layers. `classes`
+    lists the profile classes as (per-layer profile, world mask) pairs. It,
+    the world-to-class index and the relation between classes (built over
+    the profile trie) are computed on first use.
     """
 
     def __init__(
@@ -218,25 +202,10 @@ class PreferredStructure:
     def profile_bits(self, w: int) -> tuple:
         return self.classes[self._class_id[w]][0]
 
-    def compare(self, w: int, w2: int) -> Comparison:
-        p, q = self.profile_bits(w), self.profile_bits(w2)
-        if p == q:
-            return Comparison.EQUAL_PROFILE
-        if _less(p, q):
-            return Comparison.STRICTLY_LESS
-        if _less(q, p):
-            return Comparison.STRICTLY_GREATER
-        return Comparison.INCOMPARABLE
-
     def below(self, w: int) -> int:
         """Bitmask of worlds strictly below w."""
         self._relate()
         return self._down_w[self._class_id[w]]
-
-    def above(self, w: int) -> int:
-        """Bitmask of worlds strictly above w."""
-        self._relate()
-        return self._up_w[self._class_id[w]]
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""
@@ -283,6 +252,19 @@ class PreferredStructure:
                 todo &= ~every
         return low
 
+    def lowest_rank(self, mask: int) -> int:
+        """Worlds of `mask` of the lowest system Z rank, where a world's rank
+        is 1 + the highest layer in which it falsifies a conditional (0 if
+        none). Keeps, from the top layer down, the worlds that avoid each
+        layer's union, and stops at the first layer that none of them avoid."""
+        m = mask & self.signature.full_mask
+        for _, union in self._layers:
+            clean = m & ~union
+            if not clean:
+                break
+            m = clean
+        return m
+
     def pairs(self) -> Iterator[tuple]:
         """All related pairs (w, w2) with w strictly below w2, sorted."""
         self._relate()
@@ -290,15 +272,6 @@ class PreferredStructure:
         for w, c in enumerate(self._class_id):
             for w2 in up[c]:
                 yield (w, w2)
-
-    def hasse_edges(self) -> set:
-        """Transitive reduction: pairs (w, w2) with nothing strictly between."""
-        self._relate()
-        return {
-            pair
-            for (_, m), cover in zip(self.classes, self._cover_w)
-            for pair in product(_bits(m), _bits(cover))
-        }
 
     def to_dot(self) -> str:
         """Hasse diagram; arrows point from a world to the more-preferred one.

@@ -290,14 +290,11 @@ def check_ind(
     mode: InferenceMode,
     bound: int = 2,
     seed: int = 0,
-    conjoined_consequent: bool = False,
 ) -> PostulateReport:
     """Conjoining consistent information over the other part must not change
-    inferences over a part. The `conjoined_consequent` variant compares
-    A entails B against A-and-D entails B-and-D instead."""
+    inferences over a part."""
     engine = Engine(base, mode)
     rng = random.Random(seed)
-    name = "ind-conjoined" if conjoined_consequent else "ind"
     checked = 0
     for view in two_part_views(base, splitting):
         for (atoms_i, _), (atoms_j, _) in (view, view[::-1]):
@@ -312,12 +309,11 @@ def check_ind(
                     b = scope_i.lift(tb)
                     plain = engine.entails_masks(a, b)
                     for td, d in values_d:
-                        b2 = b & d if conjoined_consequent else b
-                        conjoined = engine.entails_masks(a & d, b2)
+                        conjoined = engine.entails_masks(a & d, b)
                         checked += 1
                         if plain != conjoined:
                             return PostulateReport(
-                                name, False,
+                                "ind", False,
                                 witness={
                                     "A": str(scope_i.formula(ta)),
                                     "B": str(scope_i.formula(tb)),
@@ -327,7 +323,7 @@ def check_ind(
                                 },
                                 search_bounds=_bounds_text(mode, bound, seed, checked),
                             )
-    return PostulateReport(name, True,
+    return PostulateReport("ind", True,
                            search_bounds=_bounds_text(mode, bound, seed, checked))
 
 

@@ -23,15 +23,15 @@ class TolerancePartition:
         """Highest layer index; -1 for the empty partition."""
         return len(self.layers) - 1
 
-    def all_indices(self) -> frozenset:
-        return frozenset().union(*self.layers) if self.layers else frozenset()
 
+def _partition_pairs(pairs: Sequence[tuple], worlds: int) -> tuple:
+    """Layer the conditionals given as (verification, falsification) mask
+    pairs, where a conditional is tolerated at a stage by a world of `worlds`
+    that verifies it and falsifies none of the remaining ones.
 
-def _partition_pairs(pairs: Sequence[tuple], full_mask: int) -> Optional[tuple]:
-    """Layer the conditionals given as (verification, falsification) mask pairs.
-
-    Returns a tuple of frozensets of positions, or None if at some stage no
-    remaining conditional is tolerated by the remaining set.
+    Returns (layers, stuck): the layers as lists of positions, and the
+    positions left when some stage tolerates none of them (empty when every
+    conditional is layered).
     """
     remaining = list(range(len(pairs)))
     layers = []
@@ -39,13 +39,18 @@ def _partition_pairs(pairs: Sequence[tuple], full_mask: int) -> Optional[tuple]:
         fals_union = 0
         for i in remaining:
             fals_union |= pairs[i][1]
-        safe = full_mask & ~fals_union
-        tolerated = frozenset(i for i in remaining if pairs[i][0] & safe)
+        safe = worlds & ~fals_union
+        tolerated, rest = [], []
+        for i in remaining:
+            if pairs[i][0] & safe:
+                tolerated.append(i)
+            else:
+                rest.append(i)
         if not tolerated:
-            return None
+            break
         layers.append(tolerated)
-        remaining = [i for i in remaining if i not in tolerated]
-    return tuple(layers)
+        remaining = rest
+    return layers, remaining
 
 
 def tolerance_partition(
@@ -63,9 +68,9 @@ def tolerance_partition(
     pairs = [
         (base[i].verification_mask, base[i].falsification_mask) for i in indices
     ]
-    raw = _partition_pairs(pairs, base.signature.full_mask)
-    if raw is None:
+    layers, stuck = _partition_pairs(pairs, base.signature.full_mask)
+    if stuck:
         return None
     return TolerancePartition(
-        tuple(frozenset(indices[p] for p in layer) for layer in raw)
+        tuple(frozenset(indices[p] for p in layer) for layer in layers)
     )

@@ -1,13 +1,17 @@
 """Independent brute-force reference implementations for the test suite.
 
-Everything here evaluates formulas by recursive AST walks over explicit
-truth assignments. Nothing touches the package's model-mask machinery, so
-these serve as oracles for it.
+The oracles evaluate formulas by recursive AST walks over explicit truth
+assignments. Nothing in them touches the package's model-mask machinery, so
+they serve as oracles for it. The rest are references of another kind: code
+that a faster version in the package replaced, kept as it was (the pairwise
+class relation, the per-mode query code, the recursive descent parser), and
+readers of the order exports.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from systemw.logic import (
     _ATOM_RE,
@@ -152,6 +156,111 @@ def oracle_w_entails(base: BeliefBase, a: Formula, b: Formula) -> bool:
     return all(
         any((w, w2) in preferred for w in a_bits & b_bits) for w2 in a_bits - b_bits
     )
+
+
+class ReferenceEngine:
+    """The per-mode query code that `Engine.consequence` replaced, kept as it
+    was, without a cache: W asks the preferred structure for the minimal
+    worlds of A, Z compares the lowest ranks of the A-and-B and the
+    A-and-not-B worlds, and P runs the tolerance partition of the base
+    extended with (!B|A) until it tolerates (!B|A) or gets stuck."""
+
+    def __init__(self, base: BeliefBase, mode):
+        from systemw.preferred import PreferredStructure
+        from systemw.tolerance import tolerance_partition
+
+        self.mode = mode.value
+        self.full = base.signature.full_mask
+        partition = tolerance_partition(base)
+        assert partition is not None
+        if self.mode == "w":
+            self._ps = PreferredStructure(base, partition=partition)
+        elif self.mode == "z":
+            # The mask of worlds per rank, where a world's rank is 1 + the
+            # highest layer in which it falsifies a conditional (0 if none).
+            self._ranks = []
+            above = 0
+            for layer in reversed(partition.layers):
+                fals = 0
+                for i in layer:
+                    fals |= base[i].falsification_mask
+                self._ranks.append(fals & ~above)
+                above |= fals
+            self._ranks.append(self.full & ~above)
+            self._ranks.reverse()
+        else:
+            self._pairs = [(c.verification_mask, c.falsification_mask) for c in base]
+
+    def _min_rank(self, mask: int) -> int:
+        for r, worlds in enumerate(self._ranks):
+            if worlds & mask:
+                return r
+        return len(self._ranks)
+
+    def entails_masks(self, a: int, b: int) -> bool:
+        full = self.full
+        a &= full
+        b &= full
+        if a == 0:
+            return True
+        if self.mode == "w":
+            return self._ps.minimal(a) & ~b == 0
+        ab = a & b
+        anb = a & ~b
+        if self.mode == "z":
+            return self._min_rank(ab) < self._min_rank(anb)
+        remaining = self._pairs
+        while True:
+            fals = ab
+            for _, f in remaining:
+                fals |= f
+            safe = full & ~fals
+            if anb & safe:
+                return False
+            rest = [p for p in remaining if not p[0] & safe]
+            if len(rest) == len(remaining):
+                return True
+            remaining = rest
+
+
+def conjoin(f: Formula, g: Formula) -> Formula:
+    """The conjunction of two formulas over one signature; its mask is
+    computed from the tree."""
+    return Formula(f.signature, Conj((f.ast, g.ast)))
+
+
+# --- the order exports, read back ---------------------------------------------
+
+
+def _world_numbers(ps) -> dict:
+    return {label: w for w, label in enumerate(ps.signature.render_worlds())}
+
+
+def export_pairs(ps) -> list:
+    """The (w, w2) pairs of the tsv export, w strictly preferred to w2, as
+    world numbers in the order of the rows."""
+    number = _world_numbers(ps)
+    pairs = []
+    for line in "".join(ps.to_tsv()).splitlines():
+        lo, hi = line.split("\t")
+        pairs.append((number[lo], number[hi]))
+    return pairs
+
+
+def export_edges(ps) -> list:
+    """The (w, w2) edges of the dot export, w strictly preferred to w2 with
+    nothing between, in the order of the edge lines."""
+    return [(int(lo), int(hi))
+            for hi, lo in re.findall(r"^  w(\d+) -> w(\d+);$", ps.to_dot(), re.M)]
+
+
+def above_masks(ps) -> list:
+    """Per world, the mask of the worlds strictly above it, from the tsv
+    export."""
+    up = [0] * ps.signature.num_worlds
+    for w, w2 in export_pairs(ps):
+        up[w] |= 1 << w2
+    return up
 
 
 # --- random formula / belief base generation ---------------------------------

@@ -26,6 +26,8 @@ from systemw.preferred import PreferredStructure
 from systemw.splitting import LEMMA_CHECKS
 
 from oracles import (
+    above_masks,
+    conjoin,
     oracle_tolerance_partition,
     random_base,
     random_consistent_base,
@@ -105,9 +107,10 @@ def test_criterion_3_strict_partial_order(suite3_bases):
     for base in suite3_bases:
         ps = PreferredStructure(base)
         n = base.signature.num_worlds
+        above = above_masks(ps)
         for w in range(n):
             assert not (ps.below(w) >> w) & 1  # irreflexive
-            assert ps.below(w) & ps.above(w) == 0  # asymmetric
+            assert ps.below(w) & above[w] == 0  # asymmetric
             doms = ps.below(w)
             while doms:
                 low = doms & -doms
@@ -124,8 +127,7 @@ def _z_w_sweep(base):
     sig = base.signature
     space = sig.full_mask + 1
     full = space - 1
-    ps = Engine(base, InferenceMode.W).preferred_structure
-    above = [ps.above(w) for w in range(sig.num_worlds)]
+    above = above_masks(Engine(base, InferenceMode.W).preferred_structure)
 
     # per-world Z ranks, from the tolerance partition directly
     partition = tolerance_partition(base)
@@ -206,12 +208,12 @@ def test_criterion_6_baseline_failure_witnesses(example1):
         d = parse_formula(report.witness["D"], sig)
         assert d.satisfiable()
         engine = Engine(example1, mode)
-        assert engine.entails(a, b) != engine.entails(a.conj(d), b)
+        assert engine.entails(a, b) != engine.entails(conjoin(a, d), b)
     # the canonical witness is itself a genuine violation for both baselines
     a, b, d = (parse_formula(t, sig) for t in ("d", "!v", "p"))
     for mode in (InferenceMode.Z, InferenceMode.P):
         engine = Engine(example1, mode)
-        assert engine.entails(a, b) and not engine.entails(a.conj(d), b)
+        assert engine.entails(a, b) and not engine.entails(conjoin(a, d), b)
     verdict(6, "baseline (Ind) failure witnesses replay", True, t0)
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import systemw
 from systemw import cli, inference, logic, preferred, splitting, tolerance
 
@@ -19,15 +21,30 @@ REMOVED_FUNCTIONS = (
     "World",
     "marginalize",
     "merge_worlds",
+    "Comparison",
+    "_less",
 )
 REMOVED_METHODS = (
     (logic.Conditional, "evaluate"),
     (logic.Formula, "models"),
+    (logic.Formula, "negate"),
+    (logic.Formula, "conj"),
+    (logic.Formula, "equivalent"),
+    (logic.Formula, "is_tautology"),
     (logic.Signature, "world"),
     (logic.Signature, "worlds"),
     (preferred.PreferredStructure, "less"),
+    (preferred.PreferredStructure, "compare"),
+    (preferred.PreferredStructure, "hasse_edges"),
+    (preferred.PreferredStructure, "above"),
+    (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
     (tolerance.TolerancePartition, "layer_of"),
+    (tolerance.TolerancePartition, "all_indices"),
+)
+# Keyword parameters that were removed: (function, parameter).
+REMOVED_PARAMETERS = (
+    (splitting.check_ind, "conjoined_consequent"),
 )
 
 
@@ -49,4 +66,5 @@ def test_removed_names_are_gone():
         assert not any(hasattr(m, name) for m in modules)
     for cls, name in REMOVED_METHODS:
         assert not hasattr(cls, name)
-
+    for fn, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters

@@ -191,18 +191,31 @@ class TestSplit:
         ]
 
 
-# Runs `order FILE --format tsv` under an address-space limit, in a fresh
+# Runs `order FILE --format FMT` under an address-space limit, in a fresh
 # process, and exits with its code.
 _ORDER_CHILD = """
 import resource, sys
-limit, path = int(sys.argv[1]), sys.argv[2]
+limit, path, fmt = int(sys.argv[1]), sys.argv[2], sys.argv[3]
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 if hard != resource.RLIM_INFINITY:
     limit = min(limit, hard)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 from systemw.cli import main
-sys.exit(main(["order", path, "--format", "tsv"]))
+sys.exit(main(["order", path, "--format", fmt]))
 """
+
+
+def order_in_child(limit, path, fmt):
+    """`order` on `path` in a child process limited to `limit` bytes of
+    address space; its stdout is discarded."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, "-c", _ORDER_CHILD, str(limit), str(path), fmt],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True, timeout=300,
+    )
 
 
 class TestOrder:
@@ -274,15 +287,19 @@ class TestOrder:
         # time it fits in a 512 MB address space.
         path = tmp_path / "chain12.cb"
         path.write_text(chain_text(12))
-        env = dict(os.environ)
-        src = str(Path(cli.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-c", _ORDER_CHILD, str(512 << 20), str(path)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            text=True, timeout=300,
-        )
+        proc = order_in_child(512 << 20, path, "tsv")
         assert (proc.returncode, proc.stderr[-2000:]) == (0, "")
+
+    @pytest.mark.parametrize("fmt", ["dot", "tsv"])
+    def test_out_of_memory_is_a_one_line_fault(self, tmp_path, fmt):
+        # The 16-atom chain's exports do not fit in 300 MB: the dot export
+        # runs out building its edge lines, the tsv export listing the
+        # labels of the worlds above each class.
+        path = tmp_path / "chain16.cb"
+        path.write_text(chain_text(16))
+        proc = order_in_child(300 << 20, path, fmt)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: out of memory"]
 
 
 class TestPostulates:

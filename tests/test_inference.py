@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import systemw
 from systemw import (
     BeliefBase,
+    Conditional,
     Engine,
     Formula,
     InconsistentBeliefBaseError,
@@ -22,17 +23,19 @@ from systemw import (
 
 from systemw.cli import load_belief_base
 from systemw.splitting import PartScope
-from systemw.tolerance import _partition_pairs
 
 from conftest import chain_queries, chain_text
 from oracles import (
+    ReferenceEngine,
     assignment_of_bits,
+    conjoin,
     oracle_falsifies,
     oracle_tolerance_partition,
     oracle_w_entails,
     oracle_w_preferred,
     oracle_z_entails,
     random_consistent_base,
+    random_layered_base,
     random_node,
 )
 
@@ -105,7 +108,7 @@ class TestSemanticInvariance:
             for orig, rewritten in pairs:
                 a1 = fm(example1, orig)
                 a2 = fm(example1, rewritten)
-                assert a1.equivalent(a2)
+                assert a1.mask == a2.mask
                 for b_text in ["!v", "f", "b;d"]:
                     b = fm(example1, b_text)
                     assert engine.entails(a1, b) == engine.entails(a2, b)
@@ -251,7 +254,7 @@ def random_queries(base, seed):
     if len(base):
         c = base[rng.choice(list(base.indices()))]
         queries.append((c.antecedent, c.consequent))
-        queries.append((c.antecedent.conj(formula()), c.consequent))
+        queries.append((conjoin(c.antecedent, formula()), c.consequent))
     scope = PartScope(sig, sig.atoms)
     fals = 0
     for c in base:
@@ -274,6 +277,45 @@ def test_w_matches_oracle_on_random_bases(base_seed, query_seed):
         assert engine.entails(a, b) == oracle_w_entails(base, a, b)
 
 
+@given(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans(),
+       st.sampled_from(InferenceMode), st.data())
+@settings(max_examples=90, deadline=None)
+def test_consequence_matches_reference(base_seed, query_seed, layered, mode, data):
+    """C(A) is the least mask that the per-mode code `consequence` replaced
+    entails from A, and every answer matches that code's, with bits above
+    `full` in A and B too. A repeated antecedent reads the cache and gets a
+    fresh engine's C(A). Z answers without building the profile classes.
+    The antecedents include each conditional's falsifying worlds, all of
+    one rank or more in Z."""
+    if layered:
+        base = random_layered_base(base_seed, max_atoms=8, max_conds=4, min_layers=2)
+    else:
+        base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
+    full = base.signature.full_mask
+    reference = ReferenceEngine(base, mode)
+    engine = Engine(base, mode)
+    masks = st.integers(0, (full << 2) | 3)
+    queries = [(a.mask, b.mask) for a, b in random_queries(base, query_seed)]
+    antecedents = [0] + [a for a, _ in queries] + [c.falsification_mask for c in base]
+    antecedents += data.draw(st.lists(masks, max_size=2))
+    antecedents.append(antecedents[-1] ^ (full + 1))  # the same A, other high bits
+    consequents = [b for _, b in queries] + data.draw(st.lists(masks, max_size=3))
+    for a in antecedents:
+        c = engine.consequence(a)
+        assert c & ~(a & full) == 0
+        assert reference.entails_masks(a, c)
+        for w in range(full.bit_length()):
+            if (c >> w) & 1:
+                assert not reference.entails_masks(a, c & ~(1 << w))
+        for b in consequents + [0, full, c | ~full]:
+            assert engine.entails_masks(a, b) == reference.entails_masks(a, b)
+        assert engine.consequence(a) == Engine(base, mode).consequence(a)
+    assert engine.consequence(0) == 0
+    assert len(engine._consequences) == len({a & full for a in antecedents})
+    if mode is InferenceMode.Z:
+        assert "classes" not in vars(engine.preferred_structure)
+
+
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_z_implies_w_on_random_bases(base_seed, query_seed):
@@ -288,17 +330,19 @@ def test_z_implies_w_on_random_bases(base_seed, query_seed):
 @settings(max_examples=60, deadline=None)
 def test_p_matches_partition_of_extended_base(base_seed, query_seed):
     """P answers `A |~ B` iff the base extended with (!B|A) has no tolerance
-    partition, whichever stage the engine stops at."""
+    partition, by the brute-force partition of the oracle."""
     base = random_consistent_base(base_seed, max_atoms=6, max_conds=6)
     engine = Engine(base, InferenceMode.P)
-    full = base.signature.full_mask
-    pairs = [(c.verification_mask, c.falsification_mask) for c in base]
+    sig = base.signature
+    full = sig.full_mask
+    scope = PartScope(sig, sig.atoms)
     rng = random.Random(query_seed)
     queries = [(rng.randrange(full + 1), rng.randrange(full + 1)) for _ in range(8)]
     queries += [(c.antecedent.mask, c.consequent.mask) for c in base]
     for a, b in queries:
-        extended = pairs + [(a & ~b, a & b)]
-        want = _partition_pairs(extended, full) is None
+        negated = Conditional(scope.formula(a), scope.formula(full & ~b))
+        extended = BeliefBase(sig, base.conditionals + (negated,))
+        want = oracle_tolerance_partition(extended) is None
         assert engine.entails_masks(a, b) == want
 
 

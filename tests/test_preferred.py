@@ -1,11 +1,8 @@
-import re
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from systemw import (
     BeliefBase,
-    Comparison,
     InconsistentBeliefBaseError,
     PreferredStructure,
     Signature,
@@ -17,15 +14,16 @@ from systemw.cli import load_belief_base
 
 from conftest import chain_text, world_bits
 from oracles import (
-    assignment_of_bits,
-    oracle_falsifies,
+    above_masks,
+    export_edges,
+    export_pairs,
     oracle_hasse,
     oracle_w_preferred,
+    profile_less,
     random_consistent_base,
     random_layered_base,
     reference_class_id,
     reference_relation,
-    set_bits,
     transitive_closure,
 )
 
@@ -41,6 +39,10 @@ def indices(bits):
 
 def falsified(base, w):
     return {i for i in base.indices() if (base[i].falsification_mask >> w) & 1}
+
+
+def is_below(ps, w, w2):
+    return bool((ps.below(w2) >> w) & 1)
 
 
 class TestXiProfile:
@@ -63,17 +65,13 @@ class TestXiProfile:
         assert prof == () and falsified(base, 0) == set()
 
 
-class TestCompareWorlds:
+class TestOrderOnWorlds:
     def test_clean_below_heavy(self, example1, example1_order):
         sig = example1.signature
         clean = world_bits(sig, "bf")
         heavy = world_bits(sig, "pbf")  # falsifies (!f|p), layer 1
-        assert example1_order.compare(clean, heavy) is Comparison.STRICTLY_LESS
-        assert example1_order.compare(heavy, clean) is Comparison.STRICTLY_GREATER
-
-    def test_reflexive_equal_profile(self, example1, example1_order):
-        for w in range(example1.signature.num_worlds):
-            assert example1_order.compare(w, w) is Comparison.EQUAL_PROFILE
+        assert is_below(example1_order, clean, heavy)
+        assert not is_below(example1_order, heavy, clean)
 
     def test_top_layer_dominates_lower_layer(self, example1, example1_order):
         sig = example1.signature
@@ -81,7 +79,8 @@ class TestCompareWorlds:
         only_fb = world_bits(sig, "b")
         # falsifies only (b|p) (layer 1)
         only_bp = world_bits(sig, "pf")
-        assert example1_order.compare(only_fb, only_bp) is Comparison.STRICTLY_LESS
+        assert is_below(example1_order, only_fb, only_bp)
+        assert not is_below(example1_order, only_bp, only_fb)
 
 
 class TestBuildOrder:
@@ -126,30 +125,32 @@ class TestOrderProperties:
     def test_irreflexive(self, example1_order):
         n = example1_order.signature.num_worlds
         for w in range(n):
-            assert example1_order.compare(w, w) is not Comparison.STRICTLY_LESS
+            assert not is_below(example1_order, w, w)
 
     def test_asymmetric_and_transitive(self, example1_order):
         ps = example1_order
         n = ps.signature.num_worlds
+        above = above_masks(ps)
         for a in range(n):
-            assert ps.above(a) & ps.below(a) == 0
-            doms = ps.above(a)
+            assert above[a] & ps.below(a) == 0
+            doms = above[a]
             while doms:
                 low = doms & -doms
                 b = low.bit_length() - 1
-                assert ps.compare(b, a) is not Comparison.STRICTLY_LESS
+                assert not is_below(ps, b, a)
                 # everything above b is above a
-                assert ps.above(b) & ~ps.above(a) == 0
+                assert above[b] & ~above[a] == 0
                 doms ^= low
 
     def test_equal_profile_congruence(self, example1, example1_order):
         ps = example1_order
         n = ps.signature.num_worlds
+        above = above_masks(ps)
         for a in range(n):
             for b in range(n):
-                if ps.compare(a, b) is Comparison.EQUAL_PROFILE:
+                if ps.profile_bits(a) == ps.profile_bits(b):
                     assert ps.below(a) == ps.below(b)
-                    assert ps.above(a) == ps.above(b)
+                    assert above[a] == above[b]
 
 
     def test_relation_matches_oracle_on_random_bases(self, example1):
@@ -172,26 +173,27 @@ class TestHasse:
             sig, [parse_conditional("(a|top)", sig), parse_conditional("(b|a)", sig)]
         )
         ps = PreferredStructure(base)
-        closure = transitive_closure(ps.hasse_edges(), sig.num_worlds)
-        assert closure == set(ps.pairs())
+        closure = transitive_closure(export_edges(ps), sig.num_worlds)
+        assert closure == set(ps.pairs()) == set(export_pairs(ps))
 
     def test_empty_relation_no_edges(self):
         ps = PreferredStructure(BeliefBase(Signature(["a"]), ()))
-        assert ps.hasse_edges() == set()
+        assert export_edges(ps) == []
 
     def test_example1_closure_equals_relation(self, example1_order):
         closure = transitive_closure(
-            example1_order.hasse_edges(), example1_order.signature.num_worlds
+            export_edges(example1_order), example1_order.signature.num_worlds
         )
         assert closure == set(example1_order.pairs())
 
-    def test_dot_output_shape(self, example1_order):
+    def test_dot_output_shape(self, example1, example1_order):
         dot = example1_order.to_dot()
         assert dot.startswith("digraph") and dot.endswith("}")
         # arrows point from the less-preferred to the more-preferred world
-        for lo, hi in example1_order.hasse_edges():
+        hasse = oracle_hasse(example1, range(example1.signature.num_worlds))
+        for lo, hi in hasse:
             assert f"w{hi} -> w{lo};" in dot
-        assert dot.count("->") == len(example1_order.hasse_edges())
+        assert dot.count("->") == len(hasse)
         assert 'label="bpf!v!d"' in dot
 
 
@@ -208,7 +210,8 @@ def first_difference(got, want):
 @settings(max_examples=40, deadline=None)
 def test_exports_sorted_and_match_oracle(seed):
     """`pairs` and the tsv rows are the oracle's pairs, sorted (and rendered);
-    dot edges are the Hasse edges, sorted by the more-preferred world."""
+    dot edges are the oracle's Hasse edges, sorted by the more-preferred
+    world."""
     base = random_consistent_base(seed, max_atoms=7, max_conds=6)
     ps = PreferredStructure(base)
     sig = base.signature
@@ -218,49 +221,44 @@ def test_exports_sorted_and_match_oracle(seed):
     rows = [f"{label(w)}\t{label(w2)}\n" for w, w2 in pairs]
     tsv = "".join(ps.to_tsv()).splitlines(keepends=True)
     assert first_difference(tsv, rows) is None
-    edges = [(int(lo), int(hi))
-             for hi, lo in re.findall(r"^  w(\d+) -> w(\d+);$", ps.to_dot(), re.M)]
-    assert first_difference(edges, sorted(ps.hasse_edges())) is None
+    hasse = sorted(oracle_hasse(base, range(sig.num_worlds)))
+    assert first_difference(export_edges(ps), hasse) is None
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
-def test_compare_same_before_and_after_relation(seed):
-    """`compare` reads the class index alone: its answers are the oracle's
-    order, before `below` fills in the class relation and after."""
+def test_profiles_same_before_and_after_relation(seed):
+    """`profile_bits` reads the class index alone: the order of its profiles
+    is the oracle's, before `below` fills in the class relation and after."""
     base = random_consistent_base(seed, max_atoms=6, max_conds=6)
     ps = PreferredStructure(base)
     n = base.signature.num_worlds
     preferred = oracle_w_preferred(base, range(n))
-    falsified = [
-        {i for i in base.indices()
-         if oracle_falsifies(base[i], assignment_of_bits(base.signature, w))}
-        for w in range(n)
-    ]
-    want = [[
-        Comparison.STRICTLY_LESS if (w, w2) in preferred
-        else Comparison.STRICTLY_GREATER if (w2, w) in preferred
-        else Comparison.EQUAL_PROFILE if falsified[w] == falsified[w2]
-        else Comparison.INCOMPARABLE
-        for w2 in range(n)] for w in range(n)]
-    before = [[ps.compare(w, w2) for w2 in range(n)] for w in range(n)]
+    want = [[(w, w2) in preferred for w2 in range(n)] for w in range(n)]
+
+    def order():
+        profiles = [ps.profile_bits(w) for w in range(n)]
+        return [[profile_less(p, q) for q in profiles] for p in profiles]
+
+    before = order()
     assert ps._cover_w is None  # the relation is not filled in yet
     ps.below(0)
     assert ps._cover_w is not None
-    after = [[ps.compare(w, w2) for w2 in range(n)] for w in range(n)]
-    assert before == want and after == want
+    assert before == want and order() == want
 
 
 @given(st.integers(0, 10**6), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_hasse_edges_match_oracle(seed, vars_per_part):
-    """`hasse_edges` is the transitive reduction of the oracle's order, on
+def test_dot_edges_match_oracle(seed, vars_per_part):
+    """The dot edges are the transitive reduction of the oracle's order, on
     bases of two or more layers and on generated split bases."""
     bases = [random_layered_base(seed, max_atoms=7, max_conds=4, min_layers=2),
              generate_split_base(vars_per_part, 3, seed)[0]]
     for base in bases:
         worlds = range(base.signature.num_worlds)
-        assert PreferredStructure(base).hasse_edges() == oracle_hasse(base, worlds)
+        edges = export_edges(PreferredStructure(base))
+        assert len(edges) == len(set(edges))
+        assert set(edges) == oracle_hasse(base, worlds)
 
 
 REFERENCE_BASES = (
@@ -288,6 +286,5 @@ def test_relation_matches_pairwise_reference(spec):
     down_w, up_w, cover_w = reference_relation(ps)
     worlds = range(base.signature.num_worlds)
     assert [ps.below(w) for w in worlds] == [down_w[class_id[w]] for w in worlds]
-    assert [ps.above(w) for w in worlds] == [up_w[class_id[w]] for w in worlds]
-    assert ps.hasse_edges() == {
-        (w, w2) for w in worlds for w2 in set_bits(cover_w[class_id[w]])}
+    # The tsv and dot exports read these two per class.
+    assert ps._up_w == up_w and ps._cover_w == cover_w

@@ -99,7 +99,7 @@ class TestTolerancePartition:
     def test_subset_partition_uses_original_indices(self, example1):
         part = tolerance_partition(example1, [2, 3])  # (b|p), (!f|p)
         assert part is not None
-        assert part.all_indices() == {2, 3}
+        assert part.layers == (frozenset({2, 3}),)
 
     def test_consistency_flag(self, example1):
         assert tolerance_partition(example1) is not None
