@@ -145,15 +145,16 @@ def cmd_order(args) -> int:
 
 # Check name -> its reports for (base, splitting, mode, bound, seed). Each
 # entry looks its check up by module name when called, so a rebound name
-# (a tracing wrapper, say) is the one that runs.
+# (a tracing wrapper, say) is the one that runs. The checks of one splitting
+# share its engines and scopes.
 CHECKS = {
     "di": lambda base, split, mode, bound, seed: [check_di(base, mode)],
     "tv": lambda base, split, mode, bound, seed: [check_tv(mode)],
-    "rel": lambda *args: [check_rel(*args)],
-    "ind": lambda *args: [check_ind(*args)],
-    "synsplit": lambda *args: [check_synsplit(*args)],
+    "rel": lambda base, *args: [check_rel(*args)],
+    "ind": lambda base, *args: [check_ind(*args)],
+    "synsplit": lambda base, *args: [check_synsplit(*args)],
     "lemmas": lambda base, split, mode, bound, seed: [
-        check(base, split) for check in LEMMA_CHECKS.values()],
+        check(split) for check in LEMMA_CHECKS.values()],
 }
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterator, Sequence
 
 MAX_ATOMS = 24
@@ -180,22 +179,6 @@ def atoms_of(node: Node) -> frozenset:
     return frozenset()
 
 
-def _node_mask(node: Node, sig: Signature) -> int:
-    if isinstance(node, Var):
-        return sig.atom_mask(sig.index(node.name))
-    if isinstance(node, Neg):
-        return sig.full_mask & ~_node_mask(node.child, sig)
-    if isinstance(node, Conj):
-        return reduce(lambda x, y: x & y, (_node_mask(c, sig) for c in node.children))
-    if isinstance(node, Disj):
-        return reduce(lambda x, y: x | y, (_node_mask(c, sig) for c in node.children))
-    if isinstance(node, Top):
-        return sig.full_mask
-    if isinstance(node, Bot):
-        return 0
-    raise TypeError(f"not a formula node: {node!r}")
-
-
 def _node_text(node: Node) -> str:
     if isinstance(node, Var):
         return node.name
@@ -220,25 +203,29 @@ def _node_text(node: Node) -> str:
 
 
 class Formula:
-    """Syntax tree plus lazily cached model mask over the signature's worlds.
-    A `mask` given by the caller is trusted, and the tree is not walked."""
+    """Syntax tree plus its model mask over the signature's worlds. The
+    mask comes from whoever built the tree (the parser folds it in as it
+    reads), and is trusted: the tree is never walked for it. So are the
+    atoms the tree mentions, when the builder knows them; otherwise they are
+    collected from the tree on first use."""
 
-    __slots__ = ("signature", "ast", "_mask")
+    __slots__ = ("signature", "ast", "_mask", "_atoms")
 
-    def __init__(self, signature: Signature, ast: Node, mask: int | None = None):
-        if mask is None:
-            for atom in atoms_of(ast):
-                if atom not in signature:
-                    raise SignatureError(f"atom {atom!r} not in signature")
+    def __init__(self, signature: Signature, ast: Node, mask: int,
+                 atoms: frozenset | None = None):
         self.signature = signature
         self.ast = ast
         self._mask = mask
+        self._atoms = atoms
 
     @property
-    def mask(self) -> int:
-        if self._mask is None:
-            self._mask = _node_mask(self.ast, self.signature)
+    def mask(self) -> int:  # a property, so that perfbench/tracing.py can wrap it
         return self._mask
+
+    def atoms(self) -> frozenset:
+        if self._atoms is None:
+            self._atoms = atoms_of(self.ast)
+        return self._atoms
 
     def satisfiable(self) -> bool:
         return self.mask != 0
@@ -397,7 +384,7 @@ class Conditional:
         return self.antecedent.mask & ~self.consequent.mask & self.signature.full_mask
 
     def atoms(self) -> frozenset:
-        return atoms_of(self.antecedent.ast) | atoms_of(self.consequent.ast)
+        return self.antecedent.atoms() | self.consequent.atoms()
 
     def __str__(self) -> str:
         return f"({self.consequent}|{self.antecedent})"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .logic import BeliefBase
 from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
@@ -68,17 +68,14 @@ class PreferredStructure:
     `minimal` and `lowest_rank` descend the tolerance layers. `classes`
     lists the profile classes as (per-layer profile, world mask) pairs. It,
     the world-to-class index and the relation between classes (built over
-    the profile trie) are computed on first use.
+    the profile trie) are computed on first use. Given the `partition` of
+    a sub-base, as an engine over a sub-base passes it, the structure is
+    that sub-base's.
     """
 
-    def __init__(
-        self,
-        base: BeliefBase,
-        indices: Optional[Sequence[int]] = None,
-        partition: Optional[TolerancePartition] = None,
-    ):
+    def __init__(self, base: BeliefBase, partition: Optional[TolerancePartition] = None):
         if partition is None:
-            partition = tolerance_partition(base, indices)
+            partition = tolerance_partition(base)
             if partition is None:
                 raise InconsistentBeliefBaseError("belief base is inconsistent")
         self.base = base

@@ -3,7 +3,9 @@
 The checkers quantify over semantic formulas, i.e. subsets of the sub-world
 space of a signature part, because every implemented inference mode is
 invariant under logical equivalence. Enumeration is exhaustive for parts of
-at most `bound` atoms and seeded-random beyond that.
+at most `bound` atoms and seeded-random beyond that. The rel, ind, synsplit
+and lemma checks take a `SyntaxSplitting`, which is built once per base and
+holds the views they compare and the scopes and engines they share.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .inference import Engine, InferenceMode
 from .logic import (
@@ -32,77 +34,6 @@ from .tolerance import tolerance_partition
 
 class GenerationError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class SyntaxSplitting:
-    """Partition of the signature with the induced partition of conditionals."""
-
-    parts: tuple  # tuple of tuples of atom names, each in signature order
-    conditional_parts: tuple  # tuple of frozensets of conditional indices
-
-    def validate(self, base: BeliefBase) -> None:
-        sig_atoms = set(base.signature.atoms)
-        seen: set = set()
-        for part in self.parts:
-            pset = set(part)
-            if pset & seen:
-                raise ValueError("splitting parts overlap")
-            seen |= pset
-        if seen != sig_atoms:
-            raise ValueError("splitting parts do not cover the signature")
-        all_idx: set = set()
-        for part, idxs in zip(self.parts, self.conditional_parts):
-            pset = set(part)
-            for i in idxs:
-                if not base[i].atoms() <= pset:
-                    raise ValueError(
-                        f"conditional {base[i]} uses atoms outside its part"
-                    )
-            all_idx |= set(idxs)
-        if all_idx != set(base.indices()):
-            raise ValueError("conditional parts do not partition the belief base")
-
-
-def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
-    """Finest syntax splitting: connected components of atom co-occurrence."""
-    sig = base.signature
-    parent = list(range(sig.num_atoms))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for c in base:
-        positions = sorted(sig.index(a) for a in c.atoms())
-        for p in positions[1:]:
-            union(positions[0], p)
-
-    roots: dict = {}
-    for i in range(sig.num_atoms):
-        roots.setdefault(find(i), []).append(i)
-    components = sorted(roots.values(), key=lambda ps: ps[0])
-    parts = tuple(tuple(sig.atoms[i] for i in ps) for ps in components)
-    root_to_part = {find(ps[0]): n for n, ps in enumerate(components)}
-
-    cond_parts = [set() for _ in parts] or [set()]
-    for i in base.indices():
-        atoms = base[i].atoms()
-        if atoms:
-            cond_parts[root_to_part[find(sig.index(next(iter(atoms))))]].add(i)
-        else:
-            # Atom-free conditional; it fits any part's language.
-            cond_parts[0].add(i)
-    if not parts and len(base):
-        return SyntaxSplitting(((),), (frozenset(cond_parts[0]),))
-    return SyntaxSplitting(parts, tuple(frozenset(s) for s in cond_parts))
 
 
 # A k-atom part of an n-atom signature keeps 2^(k + n) bits of world masks.
@@ -135,6 +66,7 @@ class PartScope:
             minterms = [m + (neg,) for m in minterms] + [m + (pos,) for m in minterms]
         self.group_masks = groups
         self._minterms = [m[0] if len(m) == 1 else Conj(m) for m in minterms]
+        self._atom_set = frozenset(self.atoms)  # every minterm mentions each atom
 
     def lift(self, t: int) -> int:
         mask = 0
@@ -165,7 +97,96 @@ class PartScope:
             terms.append(self._minterms[s])
             t ^= low
         node = terms[0] if len(terms) == 1 else Disj(tuple(terms))
-        return Formula(self.sig, node, mask)
+        return Formula(self.sig, node, mask, self._atom_set)
+
+
+class SyntaxSplitting:
+    """A syntax splitting of a belief base: a partition of its signature
+    into parts such that each conditional uses the atoms of one part only.
+    Each part's conditionals follow from the parts; an atom-free conditional
+    goes to the first part. Parts that are not such a partition are refused
+    here, when the splitting is built. No parts at all are read as the one
+    empty part of a zero-atom signature.
+
+    `views` are the bipartitions the checks compare, each a pair of sides
+    (atoms, conditional indices): the splitting itself for two parts, every
+    part against the rest for more, none for one. The checks of a splitting
+    share its `PartScope` per side and its `Engine` per mode and sub-base,
+    each built on first use.
+    """
+
+    def __init__(self, base: BeliefBase, parts: Iterable[Sequence[str]]):
+        parts = tuple(tuple(part) for part in parts) or ((),)
+        home = {a: n for n, part in enumerate(parts) for a in part}  # atom -> part
+        if len(home) != sum(map(len, parts)):
+            raise ValueError("splitting parts overlap")
+        atoms = base.signature.atoms
+        if home.keys() != set(atoms):
+            raise ValueError("splitting parts do not cover the signature")
+        part_sets = [frozenset(part) for part in parts]
+        cond_parts = [set() for _ in parts]
+        for i, c in enumerate(base):
+            used = c.atoms()
+            n = home[next(iter(used))] if used else 0
+            if not used <= part_sets[n]:
+                raise ValueError(f"conditional {c} uses atoms outside its part")
+            cond_parts[n].add(i)
+        self.base = base
+        self.parts = parts
+        self.conditional_parts = tuple(frozenset(s) for s in cond_parts)
+        sides = tuple(zip(parts, self.conditional_parts))
+        if len(sides) < 3:
+            self.views = (sides,) if len(sides) == 2 else ()
+        else:
+            every = frozenset(base.indices())
+            self.views = tuple(
+                ((part, idxs), (tuple(a for a in atoms if home[a] != n), every - idxs))
+                for n, (part, idxs) in enumerate(sides))
+        self._scopes: dict = {}  # atoms -> PartScope
+        self._engines: dict = {}  # (mode, conditional indices) -> Engine
+
+    def scope(self, atoms: tuple) -> PartScope:
+        """The scope of one side's atoms."""
+        scope = self._scopes.get(atoms)
+        if scope is None:
+            scope = self._scopes[atoms] = PartScope(self.base.signature, atoms)
+        return scope
+
+    def engine(self, mode: InferenceMode, indices: Optional[frozenset] = None) -> Engine:
+        """The engine of the sub-base of the conditionals `indices`, by
+        default of the whole base."""
+        indices = frozenset(self.base.indices()) if indices is None else indices
+        engine = self._engines.get((mode, indices))
+        if engine is None:
+            engine = self._engines[mode, indices] = Engine(self.base, mode, sorted(indices))
+        return engine
+
+    def structure(self, indices: Optional[frozenset] = None) -> PreferredStructure:
+        """The preferred structure of the sub-base of `indices`, read from
+        its W engine."""
+        return self.engine(InferenceMode.W, indices).preferred_structure
+
+
+def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
+    """Finest syntax splitting: connected components of atom co-occurrence."""
+    sig = base.signature
+    parent = list(range(sig.num_atoms))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for c in base:
+        positions = sorted(sig.index(a) for a in c.atoms())
+        for p in positions[1:]:
+            parent[find(p)] = find(positions[0])
+
+    roots: dict = {}
+    for i in range(sig.num_atoms):
+        roots.setdefault(find(i), []).append(sig.atoms[i])
+    return SyntaxSplitting(base, roots.values())
 
 
 @dataclass
@@ -194,33 +215,6 @@ class PostulateReport:
         }
 
 
-def two_part_views(base: BeliefBase, splitting: SyntaxSplitting) -> list:
-    """Bipartitions to check: the splitting itself for two parts, otherwise
-    every part-versus-rest view."""
-    splitting.validate(base)
-    parts = splitting.parts
-    if len(parts) < 2:
-        return []
-    sides = [
-        (parts[i], frozenset(splitting.conditional_parts[i]))
-        for i in range(len(parts))
-    ]
-    if len(parts) == 2:
-        return [(sides[0], sides[1])]
-    views = []
-    order = {a: i for i, a in enumerate(base.signature.atoms)}
-    for i in range(len(parts)):
-        rest_atoms = tuple(
-            sorted((a for j, p in enumerate(parts) if j != i for a in p),
-                   key=order.__getitem__)
-        )
-        rest_idx = frozenset().union(
-            *(splitting.conditional_parts[j] for j in range(len(parts)) if j != i)
-        )
-        views.append((sides[i], (rest_atoms, rest_idx)))
-    return views
-
-
 # Exhaustive search over a k-atom part enumerates all 2^(2^k) semantic
 # formulas: 65,536 at k = 4, whose pairs alone are 4.3e9 queries.
 MAX_EXHAUSTIVE_ATOMS = 3
@@ -245,7 +239,6 @@ def _semantic_values(scope: PartScope, bound: int, rng: random.Random) -> list:
 
 
 def check_rel(
-    base: BeliefBase,
     splitting: SyntaxSplitting,
     mode: InferenceMode,
     bound: int = 2,
@@ -253,13 +246,13 @@ def check_rel(
 ) -> PostulateReport:
     """Inferences over one part must coincide with those from that part's
     conditionals alone (evaluated over the full signature)."""
-    full_engine = Engine(base, mode)
+    full_engine = splitting.engine(mode)
     rng = random.Random(seed)
     checked = 0
-    for view in two_part_views(base, splitting):
+    for view in splitting.views:
         for atoms, idxs in view:
-            scope = PartScope(base.signature, atoms)
-            sub_engine = Engine(base, mode, indices=sorted(idxs))
+            scope = splitting.scope(atoms)
+            sub_engine = splitting.engine(mode, idxs)
             values = _semantic_values(scope, bound, rng)
             for ta in values:
                 a = scope.lift(ta)
@@ -285,7 +278,6 @@ def check_rel(
 
 
 def check_ind(
-    base: BeliefBase,
     splitting: SyntaxSplitting,
     mode: InferenceMode,
     bound: int = 2,
@@ -293,13 +285,13 @@ def check_ind(
 ) -> PostulateReport:
     """Conjoining consistent information over the other part must not change
     inferences over a part."""
-    engine = Engine(base, mode)
+    engine = splitting.engine(mode)
     rng = random.Random(seed)
     checked = 0
-    for view in two_part_views(base, splitting):
+    for view in splitting.views:
         for (atoms_i, _), (atoms_j, _) in (view, view[::-1]):
-            scope_i = PartScope(base.signature, atoms_i)
-            scope_j = PartScope(base.signature, atoms_j)
+            scope_i = splitting.scope(atoms_i)
+            scope_j = splitting.scope(atoms_j)
             values_ab = _semantic_values(scope_i, bound, rng)
             values_d = [(t, scope_j.lift(t))
                         for t in _semantic_values(scope_j, bound, rng) if t != 0]
@@ -328,14 +320,13 @@ def check_ind(
 
 
 def check_synsplit(
-    base: BeliefBase,
     splitting: SyntaxSplitting,
     mode: InferenceMode,
     bound: int = 2,
     seed: int = 0,
 ) -> PostulateReport:
-    rel = check_rel(base, splitting, mode, bound, seed)
-    ind = check_ind(base, splitting, mode, bound, seed)
+    rel = check_rel(splitting, mode, bound, seed)
+    ind = check_ind(splitting, mode, bound, seed)
     passed = rel.passed and ind.passed
     witness = None
     if not passed:
@@ -395,24 +386,13 @@ def check_tv(mode: InferenceMode, num_atoms: int = 3) -> PostulateReport:
 # --- order lemmas for split bases --------------------------------------------
 
 
-def check_lemma1(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
+def check_lemma1(splitting: SyntaxSplitting) -> PostulateReport:
     """The tolerance partition of a split base restricts to the sub-bases'
     partitions layer by layer, and the layer counts and tails line up."""
-    op = tolerance_partition(base)
-    if op is None:
-        raise ValueError("belief base is inconsistent")
+    op = splitting.structure().partition
     k = op.k
-    for view in two_part_views(base, splitting):
-        subs = []
-        for _, idxs in view:
-            sub = tolerance_partition(base, sorted(idxs))
-            if sub is None:
-                return PostulateReport(
-                    "lemma1", False,
-                    witness={"reason": "sub-base inconsistent"},
-                    search_bounds="partition comparison",
-                )
-            subs.append(sub)
+    for view in splitting.views:
+        subs = [splitting.structure(idxs).partition for _, idxs in view]
         for (_, idxs), sub in zip(view, subs):
             for j in range(sub.k + 1):
                 expected = op.layers[j] & idxs if j <= k else frozenset()
@@ -445,27 +425,18 @@ def check_lemma1(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
     return PostulateReport("lemma1", True, search_bounds="partition comparison")
 
 
-def _split_structures(base: BeliefBase, view) -> tuple:
-    (atoms1, idx1), (atoms2, idx2) = view
-    ps = PreferredStructure(base)
-    ps1 = PreferredStructure(base, indices=sorted(idx1))
-    ps2 = PreferredStructure(base, indices=sorted(idx2))
-    scope1 = PartScope(base.signature, atoms1)
-    scope2 = PartScope(base.signature, atoms2)
-    return ps, ps1, ps2, scope1, scope2
-
-
 def _world_pair_witness(sig: Signature, viol: int, w2: int) -> dict:
     w = (viol & -viol).bit_length() - 1
     return {"world": sig.render_world(w), "world2": sig.render_world(w2)}
 
 
-def check_lemma2(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
+def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
     """Every relation of the split base is already present under one sub-base."""
-    sig = base.signature
+    sig = splitting.base.signature
     pairs = 0
-    for view in two_part_views(base, splitting):
-        ps, ps1, ps2, _, _ = _split_structures(base, view)
+    for (_, idx1), (_, idx2) in splitting.views:
+        ps, ps1, ps2 = (splitting.structure(), splitting.structure(idx1),
+                        splitting.structure(idx2))
         for w2 in range(sig.num_worlds):
             below = ps.below(w2)
             viol = below & ~(ps1.below(w2) | ps2.below(w2))
@@ -482,13 +453,14 @@ def check_lemma2(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
     )
 
 
-def check_lemma3(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
+def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
     """A sub-base relation between worlds agreeing on the other part carries
     over to the full base."""
-    sig = base.signature
-    for view in two_part_views(base, splitting):
-        ps, ps1, ps2, scope1, scope2 = _split_structures(base, view)
-        for sub_ps, other_scope, tag in ((ps1, scope2, "part1"), (ps2, scope1, "part2")):
+    sig = splitting.base.signature
+    for (atoms1, idx1), (atoms2, idx2) in splitting.views:
+        ps = splitting.structure()
+        for idxs, other, tag in ((idx1, atoms2, "part1"), (idx2, atoms1, "part2")):
+            sub_ps, other_scope = splitting.structure(idxs), splitting.scope(other)
             for w2 in range(sig.num_worlds):
                 same = other_scope.group_of(w2)
                 viol = sub_ps.below(w2) & same & ~ps.below(w2)
@@ -504,14 +476,14 @@ def check_lemma3(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateRepor
     )
 
 
-def check_lemma4(base: BeliefBase, splitting: SyntaxSplitting) -> PostulateReport:
+def check_lemma4(splitting: SyntaxSplitting) -> PostulateReport:
     """Whether a world sits below another under a sub-base depends only on its
     marginal over that sub-base's part: each marginal class lies either wholly
     inside or wholly outside the set of worlds below any world."""
-    sig = base.signature
-    for view in two_part_views(base, splitting):
-        _, ps1, ps2, scope1, scope2 = _split_structures(base, view)
-        for sub_ps, scope, tag in ((ps1, scope1, "part1"), (ps2, scope2, "part2")):
+    sig = splitting.base.signature
+    for view in splitting.views:
+        for (atoms, idxs), tag in zip(view, ("part1", "part2")):
+            sub_ps, scope = splitting.structure(idxs), splitting.scope(atoms)
             for w2 in range(sig.num_worlds):
                 doms = sub_ps.below(w2)
                 for gm in scope.group_masks:
@@ -566,19 +538,14 @@ def generate_split_base(vars_per_part: int, conds_per_part: int, seed: int) -> t
     scopes = (PartScope(sig, atoms1), PartScope(sig, atoms2))
     for _ in range(MAX_GENERATION_ATTEMPTS):
         conds = []
-        cond_parts = []
         for scope in scopes:
-            part_idx = frozenset(
-                range(len(conds), len(conds) + conds_per_part)
-            )
             for _ in range(conds_per_part):
                 ta = rng.randrange(1, scope.full_sub)
                 tb = rng.randrange(1, scope.full_sub)
                 conds.append(Conditional(scope.formula(ta), scope.formula(tb)))
-            cond_parts.append(part_idx)
         base = BeliefBase(sig, conds)
         if tolerance_partition(base) is not None:
-            return base, SyntaxSplitting((atoms1, atoms2), tuple(cond_parts))
+            return base, SyntaxSplitting(base, (atoms1, atoms2))
     raise GenerationError(
         f"no consistent base found in {MAX_GENERATION_ATTEMPTS} attempts (seed={seed})"
     )

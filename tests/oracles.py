@@ -3,15 +3,16 @@
 The oracles evaluate formulas by recursive AST walks over explicit truth
 assignments. Nothing in them touches the package's model-mask machinery, so
 they serve as oracles for it. The rest are references of another kind: code
-that a faster version in the package replaced, kept as it was (the pairwise
-class relation, the per-mode query code, the recursive descent parser), and
-readers of the order exports.
+that a faster version in the package replaced, kept as it was (the tree walk
+of formula masks, the pairwise class relation, the per-mode query code, the
+recursive descent parser), and readers of the order exports.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from functools import reduce
 
 from systemw.logic import (
     _ATOM_RE,
@@ -46,6 +47,30 @@ def eval_node(node, assignment: dict) -> bool:
     if isinstance(node, Bot):
         return False
     raise TypeError(node)
+
+
+def node_mask(node, sig: Signature) -> int:
+    """The model mask of a syntax tree, by a walk of the tree over the atom
+    masks: the reference for the masks the parser folds in as it reads, and
+    the mask of every formula the tests build from a tree."""
+    if isinstance(node, Var):
+        return sig.atom_mask(sig.index(node.name))
+    if isinstance(node, Neg):
+        return sig.full_mask & ~node_mask(node.child, sig)
+    if isinstance(node, Conj):
+        return reduce(lambda x, y: x & y, (node_mask(c, sig) for c in node.children))
+    if isinstance(node, Disj):
+        return reduce(lambda x, y: x | y, (node_mask(c, sig) for c in node.children))
+    if isinstance(node, Top):
+        return sig.full_mask
+    if isinstance(node, Bot):
+        return 0
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def tree_formula(sig: Signature, node) -> Formula:
+    """A formula built from a syntax tree, with the tree walk's mask."""
+    return Formula(sig, node, node_mask(node, sig))
 
 
 def assignment_of_bits(sig: Signature, bits: int) -> dict:
@@ -226,7 +251,7 @@ class ReferenceEngine:
 def conjoin(f: Formula, g: Formula) -> Formula:
     """The conjunction of two formulas over one signature; its mask is
     computed from the tree."""
-    return Formula(f.signature, Conj((f.ast, g.ast)))
+    return tree_formula(f.signature, Conj((f.ast, g.ast)))
 
 
 # --- the order exports, read back ---------------------------------------------
@@ -289,8 +314,8 @@ def random_base(seed: int, max_atoms: int, max_conds: int) -> BeliefBase:
     sig = Signature(atoms)
     conds = []
     for _ in range(rng.randint(0, max_conds)):
-        ante = Formula(sig, random_node(rng, atoms, 2))
-        cons = Formula(sig, random_node(rng, atoms, 2))
+        ante = tree_formula(sig, random_node(rng, atoms, 2))
+        cons = tree_formula(sig, random_node(rng, atoms, 2))
         conds.append(Conditional(ante, cons))
     return BeliefBase(sig, conds)
 
@@ -318,13 +343,13 @@ def random_layered_base(seed: int, max_atoms: int, max_conds: int,
         sig = Signature(atoms)
         y, *xs = rng.sample(atoms, min_layers + 1)
         conds = [
-            Conditional(Formula(sig, Conj(tuple(Var(x) for x in xs[:k + 1]))),
-                        Formula(sig, Var(y) if k % 2 == 0 else Neg(Var(y))))
+            Conditional(tree_formula(sig, Conj(tuple(Var(x) for x in xs[:k + 1]))),
+                        tree_formula(sig, Var(y) if k % 2 == 0 else Neg(Var(y))))
             for k in range(min_layers)
         ]
         for _ in range(rng.randint(0, max_conds)):
-            ante = Formula(sig, random_node(rng, atoms, 2))
-            cons = Formula(sig, random_node(rng, atoms, 2))
+            ante = tree_formula(sig, random_node(rng, atoms, 2))
+            cons = tree_formula(sig, random_node(rng, atoms, 2))
             conds.append(Conditional(ante, cons))
         rng.shuffle(conds)
         base = BeliefBase(sig, conds)

@@ -184,10 +184,10 @@ def test_criterion_5_synsplit_for_w(example1, suite5_bases):
     t0 = time.perf_counter()
     spl = detect_splitting(example1)
     for check in (check_rel, check_ind, check_synsplit):
-        report = check(example1, spl, InferenceMode.W, bound=2, seed=0)
+        report = check(spl, InferenceMode.W, bound=2, seed=0)
         assert report.passed, report.line()
-    for base, spl in suite5_bases:
-        report = check_synsplit(base, spl, InferenceMode.W, bound=2, seed=0)
+    for _, spl in suite5_bases:
+        report = check_synsplit(spl, InferenceMode.W, bound=2, seed=0)
         assert report.passed, report.line()
     elapsed = verdict(
         5, "syntax-splitting postulates for system W (Example 1 + 100 bases)",
@@ -201,7 +201,7 @@ def test_criterion_6_baseline_failure_witnesses(example1):
     spl = detect_splitting(example1)
     sig = example1.signature
     for mode in (InferenceMode.Z, InferenceMode.P):
-        report = check_ind(example1, spl, mode)
+        report = check_ind(spl, mode)
         assert not report.passed and report.witness
         a = parse_formula(report.witness["A"], sig)
         b = parse_formula(report.witness["B"], sig)
@@ -221,14 +221,14 @@ def test_criterion_7_lemma_suites(example1):
     t0 = time.perf_counter()
     spl = detect_splitting(example1)
     for name, check in LEMMA_CHECKS.items():
-        report = check(example1, spl)
+        report = check(spl)
         assert report.passed, report.line()
     for seed in range(500):
         vars_per_part = seed % 3 + 1
         conds_per_part = (seed // 3) % 3 + 1
-        base, spl = generate_split_base(vars_per_part, conds_per_part, 4000 + seed)
+        _, spl = generate_split_base(vars_per_part, conds_per_part, 4000 + seed)
         for name, check in LEMMA_CHECKS.items():
-            report = check(base, spl)
+            report = check(spl)
             assert report.passed, f"seed={4000 + seed}: {report.line()}"
     elapsed = verdict(7, "lemma suites (Example 1 + 500 bases)", True, t0)
     assert elapsed < 60.0

@@ -23,6 +23,9 @@ REMOVED_FUNCTIONS = (
     "merge_worlds",
     "Comparison",
     "_less",
+    "_node_mask",
+    "two_part_views",
+    "_split_structures",
 )
 REMOVED_METHODS = (
     (logic.Conditional, "evaluate"),
@@ -39,12 +42,14 @@ REMOVED_METHODS = (
     (preferred.PreferredStructure, "above"),
     (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
+    (splitting.SyntaxSplitting, "validate"),
     (tolerance.TolerancePartition, "layer_of"),
     (tolerance.TolerancePartition, "all_indices"),
 )
 # Keyword parameters that were removed: (function, parameter).
 REMOVED_PARAMETERS = (
     (splitting.check_ind, "conjoined_consequent"),
+    (preferred.PreferredStructure, "indices"),
 )
 
 

@@ -4,13 +4,16 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from systemw import cli
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
-from systemw.splitting import check_rel
+from systemw.inference import Engine
+from systemw.preferred import PreferredStructure
+from systemw.splitting import PartScope, check_rel
 
 from conftest import chain_text
 from oracles import transitive_closure
@@ -357,7 +360,47 @@ class TestPostulates:
 
         monkeypatch.setattr(cli, "check_rel", wrapped)
         assert run(capsys, "postulates", example1_file, "--checks", "rel")[0] == 0
-        assert calls == [5]
+        assert calls == [4]
+
+    def test_checks_share_engines_and_scopes(self, capsys, example1_file,
+                                             monkeypatch):
+        # The default checks of one run build one engine per base, mode and
+        # conditional indices: di's and tv's, and the splitting's for the
+        # whole base and each part, whose W structures serve the lemmas. The
+        # splitting builds one scope per part.
+        engines, structures, scopes = Counter(), [], Counter()
+        engine_init, structure_init = Engine.__init__, PreferredStructure.__init__
+        scope_init = PartScope.__init__
+
+        def count_engine(self, base, mode, indices=None):
+            key = (base.signature.atoms, mode.value,
+                   None if indices is None else tuple(indices))
+            engines[key] += 1
+            engine_init(self, base, mode, indices)
+
+        def count_structure(self, *args, **kwargs):
+            structures.append(args)
+            structure_init(self, *args, **kwargs)
+
+        def count_scope(self, sig, atoms):
+            scopes[tuple(atoms)] += 1
+            scope_init(self, sig, atoms)
+
+        monkeypatch.setattr(Engine, "__init__", count_engine)
+        monkeypatch.setattr(PreferredStructure, "__init__", count_structure)
+        monkeypatch.setattr(PartScope, "__init__", count_scope)
+        code, out, _ = run(capsys, "postulates", example1_file, "--mode", "w")
+        assert code == 0 and out.count(": pass") == 9
+        ex1 = ("b", "p", "f", "v", "d")
+        assert engines == {
+            (ex1, "w", None): 1,  # di
+            (("a", "b", "c"), "w", None): 1,  # tv
+            (ex1, "w", (0, 1, 2, 3)): 1,
+            (ex1, "w", (0, 2, 3)): 1,
+            (ex1, "w", (1,)): 1,
+        }
+        assert len(structures) == 5
+        assert scopes == {("b", "p", "f"): 1, ("v", "d"): 1}
 
     def test_golden_default_checks(self, capsys, example1_file):
         # Every default check in order, with the Z witnesses of ind and synsplit.

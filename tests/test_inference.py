@@ -13,7 +13,6 @@ from systemw import (
     BeliefBase,
     Conditional,
     Engine,
-    Formula,
     InconsistentBeliefBaseError,
     InferenceMode,
     Signature,
@@ -37,6 +36,7 @@ from oracles import (
     random_consistent_base,
     random_layered_base,
     random_node,
+    tree_formula,
 )
 
 
@@ -248,7 +248,7 @@ def random_queries(base, seed):
     sig = base.signature
 
     def formula():
-        return Formula(sig, random_node(rng, sig.atoms, 3))
+        return tree_formula(sig, random_node(rng, sig.atoms, 3))
 
     queries = [(formula(), formula())]
     if len(base):

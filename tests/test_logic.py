@@ -9,13 +9,13 @@ from systemw.logic import (
     Conditional,
     Conj,
     Disj,
-    Formula,
     FormulaSyntaxError,
     Neg,
     Signature,
     SignatureError,
     UnknownAtomError,
     Var,
+    _node_text,
     parse_conditional,
     parse_formula,
 )
@@ -24,9 +24,11 @@ from conftest import world_bits
 from oracles import (
     all_assignments,
     eval_node,
+    node_mask,
     oracle_model_bits,
     random_node,
     reference_parse_formula,
+    tree_formula,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -165,9 +167,9 @@ class TestModSet:
         f = parse_formula("a;!b", sig)
         g = parse_formula("b,c;!a", sig)
         full = sig.full_mask
-        assert Formula(sig, Neg(f.ast)).mask == full & ~f.mask
-        assert Formula(sig, Conj((f.ast, g.ast))).mask == f.mask & g.mask
-        assert Formula(sig, Disj((f.ast, g.ast))).mask == f.mask | g.mask
+        assert parse_formula("!(a;!b)", sig).mask == full & ~f.mask
+        assert parse_formula("(a;!b),(b,c;!a)", sig).mask == f.mask & g.mask
+        assert parse_formula("a;!b;b,c;!a", sig).mask == f.mask | g.mask
 
 
 @st.composite
@@ -185,17 +187,16 @@ def sig_and_node(draw):
 @settings(max_examples=150, deadline=None)
 def test_mask_matches_pointwise_evaluation(sn):
     sig, node = sn
-    f = Formula(sig, node)
-    assert {w for w in range(sig.num_worlds) if (f.mask >> w) & 1} == {
-        bits for bits, asg in all_assignments(sig) if eval_node(node, asg)
-    }
+    models = {bits for bits, asg in all_assignments(sig) if eval_node(node, asg)}
+    for mask in (parse_formula(_node_text(node), sig).mask, node_mask(node, sig)):
+        assert {w for w in range(sig.num_worlds) if (mask >> w) & 1} == models
 
 
 @given(sig_and_node())
 @settings(max_examples=150, deadline=None)
 def test_print_parse_round_trip(sn):
     sig, node = sn
-    f = Formula(sig, node)
+    f = tree_formula(sig, node)
     assert parse_formula(str(f), sig).mask == f.mask
 
 
@@ -233,7 +234,7 @@ def test_parsed_mask_matches_tree_walk(sig_text):
     truth table; the printed formula parses back to itself."""
     sig, text = sig_text
     f = parse_formula(text, sig)
-    assert f.mask == Formula(sig, f.ast).mask
+    assert f.mask == node_mask(f.ast, sig)
     assert f.mask == sum(1 << w for w, asg in all_assignments(sig) if eval_node(f.ast, asg))
     g = parse_formula(str(f), sig)
     assert (str(g), g.mask) == (str(f), f.mask)

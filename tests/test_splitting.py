@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from systemw import (
     BeliefBase,
     Engine,
-    Formula,
     InferenceMode,
     Signature,
     SignatureError,
@@ -23,18 +22,23 @@ from systemw import (
     parse_formula,
     tolerance_partition,
 )
+from systemw.logic import atoms_of
 from systemw.splitting import (
     MAX_SCOPE_BITS,
     PartScope,
     SyntaxSplitting,
-    two_part_views,
 )
 
-from oracles import conjoin
+from oracles import conjoin, node_mask
 
 
 def cond_strs(base, idxs):
     return {str(base[i]) for i in idxs}
+
+
+def base_of(atoms, *texts):
+    sig = Signature(atoms)
+    return BeliefBase(sig, [parse_conditional(t, sig) for t in texts])
 
 
 class TestDetectSplitting:
@@ -45,7 +49,6 @@ class TestDetectSplitting:
             "(f|b)", "(b|p)", "(!f|p)"
         }
         assert cond_strs(example1, spl.conditional_parts[1]) == {"(!v|d)"}
-        spl.validate(example1)
 
     def test_empty_base_singleton_parts(self):
         base = BeliefBase(Signature(["a", "b"]), ())
@@ -60,22 +63,49 @@ class TestDetectSplitting:
         assert spl.parts == (("a", "b", "c"),)
 
     def test_finest_splitting(self, example1):
-        # merging the two parts still validates; the detected one is strictly finer
+        # merging the two parts is a splitting too; the detected one is finer
         spl = detect_splitting(example1)
-        merged = SyntaxSplitting(
-            (example1.signature.atoms,),
-            (frozenset(example1.indices()),),
-        )
-        merged.validate(example1)
+        merged = SyntaxSplitting(example1, (example1.signature.atoms,))
+        assert merged.conditional_parts == (frozenset(example1.indices()),)
         assert len(spl.parts) == 2
 
-    def test_validate_rejects_bad_assignment(self, example1):
-        bogus = SyntaxSplitting(
-            (("b", "p", "f"), ("v", "d")),
-            (frozenset({0, 1, 2}), frozenset({3})),
-        )
-        with pytest.raises(ValueError):
-            bogus.validate(example1)
+    @pytest.mark.parametrize("texts", [(), ("(top|top)",)])
+    def test_zero_atoms_one_empty_part(self, texts):
+        base = base_of((), *texts)
+        spl = detect_splitting(base)
+        assert spl.parts == ((),)
+        assert spl.conditional_parts == (frozenset(base.indices()),)
+        assert spl.views == ()
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("parts, message", [
+        ((("b", "p", "f"), ("f", "v", "d")), "splitting parts overlap"),
+        ((("b", "p", "f"), ("v",)), "splitting parts do not cover the signature"),
+        ((("b", "p", "f"), ("v", "d", "x")), "splitting parts do not cover the signature"),
+        ((("b", "p"), ("f", "v", "d")), r"conditional \(f\|b\) uses atoms outside its part"),
+    ], ids=["overlap", "missing", "foreign", "spanning"])
+    def test_rejects_what_is_not_a_splitting(self, example1, parts, message):
+        with pytest.raises(ValueError, match=message):
+            SyntaxSplitting(example1, parts)
+
+    def test_conditional_parts_match_detection(self, example1):
+        spl = SyntaxSplitting(example1, (("b", "p", "f"), ("v", "d")))
+        assert spl.conditional_parts == (frozenset({0, 2, 3}), frozenset({1}))
+        assert spl.conditional_parts == detect_splitting(example1).conditional_parts
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conditional_parts_follow_the_draw_order(self, seed):
+        # The generator draws each part's conditionals in turn.
+        _, spl = generate_split_base(2, 3, seed)
+        assert spl.parts == (("a", "b"), ("c", "d"))
+        assert spl.conditional_parts == (frozenset(range(3)), frozenset(range(3, 6)))
+
+    def test_atom_free_conditional_goes_to_the_first_part(self):
+        base = base_of(("a", "b"), "(b|b)", "(top|top)", "(a|a)")
+        spl = SyntaxSplitting(base, (("a",), ("b",)))
+        assert spl.conditional_parts == (frozenset({1, 2}), frozenset({0}))
+        assert detect_splitting(base).conditional_parts == spl.conditional_parts
 
 
 class TestPartScope:
@@ -110,7 +140,8 @@ class TestPartScope:
         for t in data.draw(st.lists(st.integers(0, scope.full_sub), max_size=8)):
             # Recompute the mask from the tree instead of trusting formula(t).
             f = scope.formula(t)
-            assert Formula(sig, f.ast).mask == f.mask == scope.lift(t)
+            assert node_mask(f.ast, sig) == f.mask == scope.lift(t)
+            assert f.atoms() == atoms_of(f.ast)
 
     def test_atom_outside_signature_rejected(self, example1):
         with pytest.raises(SignatureError):
@@ -129,20 +160,20 @@ class TestPartScope:
 class TestPostulatesOnExample1:
     def test_rel_holds_for_w(self, example1):
         spl = detect_splitting(example1)
-        assert check_rel(example1, spl, InferenceMode.W).passed
+        assert check_rel(spl, InferenceMode.W).passed
 
     def test_ind_holds_for_w(self, example1):
         spl = detect_splitting(example1)
-        assert check_ind(example1, spl, InferenceMode.W).passed
+        assert check_ind(spl, InferenceMode.W).passed
 
     def test_synsplit_holds_for_w(self, example1):
         spl = detect_splitting(example1)
-        assert check_synsplit(example1, spl, InferenceMode.W).passed
+        assert check_synsplit(spl, InferenceMode.W).passed
 
     @pytest.mark.parametrize("mode", [InferenceMode.Z, InferenceMode.P])
     def test_ind_fails_for_baselines_with_replayable_witness(self, example1, mode):
         spl = detect_splitting(example1)
-        report = check_ind(example1, spl, mode)
+        report = check_ind(spl, mode)
         assert not report.passed and report.witness
         sig = example1.signature
         a = parse_formula(report.witness["A"], sig)
@@ -155,7 +186,7 @@ class TestPostulatesOnExample1:
     @pytest.mark.parametrize("mode", [InferenceMode.Z, InferenceMode.P])
     def test_synsplit_fails_for_baselines(self, example1, mode):
         spl = detect_splitting(example1)
-        report = check_synsplit(example1, spl, mode)
+        report = check_synsplit(spl, mode)
         assert not report.passed
         assert report.witness["failing_postulate"] in ("rel", "ind")
 
@@ -172,7 +203,7 @@ class TestLemmas:
     def test_all_lemmas_example1(self, example1):
         spl = detect_splitting(example1)
         for check in (check_lemma1, check_lemma2, check_lemma3, check_lemma4):
-            report = check(example1, spl)
+            report = check(spl)
             assert report.passed, report.line()
 
     def test_lemma1_sub_partitions_example1(self, example1):
@@ -188,14 +219,15 @@ class TestLemmas:
         # one side of the splitting carries no conditionals: l2 = -1, k = l1
         sig = Signature(["a", "b"])
         base = BeliefBase(sig, [parse_conditional("(a|top)", sig)])
-        spl = SyntaxSplitting((("a",), ("b",)), (frozenset({0}), frozenset()))
-        assert check_lemma1(base, spl).passed
+        spl = SyntaxSplitting(base, (("a",), ("b",)))
+        assert spl.conditional_parts == (frozenset({0}), frozenset())
+        assert check_lemma1(spl).passed
 
     def test_lemmas_on_generated_bases(self):
         for seed in range(10):
-            base, spl = generate_split_base(2, 2, seed)
+            _, spl = generate_split_base(2, 2, seed)
             for check in (check_lemma1, check_lemma2, check_lemma3, check_lemma4):
-                report = check(base, spl)
+                report = check(spl)
                 assert report.passed, f"seed={seed}: {report.line()}"
 
 
@@ -213,18 +245,18 @@ class TestGenerator:
     def test_deterministic(self):
         b1, s1 = generate_split_base(2, 2, 42)
         b2, s2 = generate_split_base(2, 2, 42)
-        assert repr(b1) == repr(b2) and s1 == s2
+        assert repr(b1) == repr(b2)
+        assert (s1.parts, s1.conditional_parts) == (s2.parts, s2.conditional_parts)
 
     def test_zero_conditionals(self):
         base, spl = generate_split_base(2, 0, 1)
         assert len(base) == 0
-        spl.validate(base)
+        assert spl.conditional_parts == (frozenset(), frozenset())
 
     def test_generated_base_is_consistent_and_split(self):
         for seed in range(20):
             base, spl = generate_split_base(2, 2, seed)
-            assert tolerance_partition(base) is not None
-            spl.validate(base)
+            assert tolerance_partition(base) is not None and spl.base is base
             detected = detect_splitting(base)
             # the detected (finest) splitting refines the generated one
             for part in detected.parts:
@@ -236,7 +268,7 @@ class TestGenerator:
         # need 511-598 draws, more than a budget of 500 allowed.
         base, spl = generate_split_base(1, 3, seed)
         assert tolerance_partition(base) is not None
-        spl.validate(base)
+        assert spl.conditional_parts == (frozenset(range(3)), frozenset(range(3, 6)))
 
     def test_antecedents_nontrivial(self):
         base, _ = generate_split_base(2, 3, 5)
@@ -251,39 +283,40 @@ class TestGenerator:
 
 class TestViews:
     def test_single_part_no_views(self):
-        sig = Signature(["a", "b"])
-        base = BeliefBase(sig, [parse_conditional("(a|b)", sig)])
-        assert two_part_views(base, detect_splitting(base)) == []
+        base = base_of(("a", "b"), "(a|b)")
+        assert detect_splitting(base).views == ()
+
+    def test_two_parts_one_view(self, example1):
+        spl = detect_splitting(example1)
+        assert spl.views == (((("b", "p", "f"), frozenset({0, 2, 3})),
+                              (("v", "d"), frozenset({1}))),)
 
     def test_three_parts_iterate_part_vs_rest(self):
-        sig = Signature(["a", "b", "c"])
-        base = BeliefBase(
-            sig,
-            [parse_conditional("(a|a)", sig), parse_conditional("(b|b)", sig)],
-        )
+        # Interleaved parts and an atom-free conditional; the rest side's
+        # atoms keep the signature order.
+        base = base_of(("a", "x", "b", "y", "c"),
+                       "(b|a)", "(y|x)", "(c|c)", "(top|top)", "(!x|y)")
         spl = detect_splitting(base)
-        assert len(spl.parts) == 3
-        views = two_part_views(base, spl)
-        assert len(views) == 3
-        for (atoms_a, _), (atoms_b, _) in views:
-            assert set(atoms_a) | set(atoms_b) == {"a", "b", "c"}
+        assert spl.parts == (("a", "b"), ("x", "y"), ("c",))
+        assert spl.views == (
+            ((("a", "b"), frozenset({0, 3})), (("x", "y", "c"), frozenset({1, 2, 4}))),
+            ((("x", "y"), frozenset({1, 4})), (("a", "b", "c"), frozenset({0, 2, 3}))),
+            ((("c",), frozenset({2})), (("a", "x", "b", "y"), frozenset({0, 1, 3, 4}))),
+        )
 
     def test_rel_ind_pass_on_three_part_base(self):
-        sig = Signature(["a", "b", "c"])
-        base = BeliefBase(
-            sig,
-            [parse_conditional("(a|a)", sig), parse_conditional("(b|b)", sig)],
-        )
+        base = base_of(("a", "b", "c"), "(a|a)", "(b|b)")
         spl = detect_splitting(base)
-        assert check_rel(base, spl, InferenceMode.W).passed
-        assert check_ind(base, spl, InferenceMode.W).passed
+        assert len(spl.parts) == 3
+        assert check_rel(spl, InferenceMode.W).passed
+        assert check_ind(spl, InferenceMode.W).passed
 
 
 def test_report_lines_and_json(example1):
     spl = detect_splitting(example1)
-    report = check_ind(example1, spl, InferenceMode.Z)
+    report = check_ind(spl, InferenceMode.Z)
     assert report.line().startswith("ind: FAIL")
     d = report.to_dict()
     assert d["verdict"] == "fail" and set(d["witness"]) >= {"A", "B", "D"}
-    ok = check_rel(example1, spl, InferenceMode.W)
+    ok = check_rel(spl, InferenceMode.W)
     assert ok.to_dict()["verdict"] == "pass" and ok.to_dict()["witness"] is None
