@@ -12,6 +12,7 @@ inconsistent base where consistency is required, bad flags, out of memory).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -146,9 +147,11 @@ def cmd_order(args) -> int:
 # Check name -> its reports for (base, splitting, mode, bound, seed). Each
 # entry looks its check up by module name when called, so a rebound name
 # (a tracing wrapper, say) is the one that runs. The checks of one splitting
-# share its engines and scopes.
+# share its engines and scopes; di reads the splitting's engine of the whole
+# base when the run has a splitting.
 CHECKS = {
-    "di": lambda base, split, mode, bound, seed: [check_di(base, mode)],
+    "di": lambda base, split, mode, bound, seed: [
+        check_di(split.engine(mode) if split else Engine(base, mode))],
     "tv": lambda base, split, mode, bound, seed: [check_tv(mode)],
     "rel": lambda base, *args: [check_rel(*args)],
     "ind": lambda base, *args: [check_ind(*args)],
@@ -230,27 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="consistency of a belief base")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("partition", help="print the tolerance partition")
     p.add_argument("file")
-    p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("infer", help="answer an inference query")
     p.add_argument("file")
     p.add_argument("antecedent")
     p.add_argument("consequent")
     p.add_argument("--mode", choices=["w", "z", "p"], default="w")
-    p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("split", help="print the finest syntax splitting")
     p.add_argument("file")
-    p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("order", help="export the preferred structure on worlds")
     p.add_argument("file")
     p.add_argument("--format", choices=["dot", "tsv"], default="dot")
-    p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("postulates", help="run postulate and lemma checks")
     p.add_argument("file")
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checks", default=",".join(CHECKS))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_postulates)
 
     p = sub.add_parser("fuzz", help="run checks over generated split bases")
     p.add_argument("--vars", type=int, default=2)
@@ -269,15 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_count, default=2)
     p.add_argument("--mode", choices=["w", "z", "p"], default="w")
     p.add_argument("--checks", default="synsplit")
-    p.set_defaults(func=cmd_fuzz)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first `main` call. Parsing leaves
+    a parser as it was, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _shared_parser().parse_args(argv)
+        # Looked up by name at call time, so a rebound `cmd_*` is the one
+        # that runs.
+        return globals()[f"cmd_{args.command}"](args)
     except (
         BeliefBaseFormatError,
         FormulaSyntaxError,

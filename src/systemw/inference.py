@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .logic import BeliefBase, Formula
 from .preferred import PreferredStructure
-from .tolerance import InconsistentBeliefBaseError, _partition_pairs, tolerance_partition
+from .tolerance import InconsistentBeliefBaseError, tolerance_partition
 
 
 def _p_consequence(pairs: list, full: int, a: int) -> int:
@@ -23,12 +23,20 @@ def _p_consequence(pairs: list, full: int, a: int) -> int:
     with (!B|A) is inconsistent. With A's worlds never safe, the tolerance
     loop gets stuck on a set S of conditionals; the extension is
     inconsistent iff the A-and-not-B worlds all falsify some conditional
-    of S."""
-    _, stuck = _partition_pairs(pairs, full & ~a)
-    fals = 0
-    for i in stuck:
-        fals |= pairs[i][1]
-    return a & ~fals
+    of S. S is a subset of the conditionals left at every stage, so once A
+    misses their falsification masks, C(A) is A."""
+    outside = full & ~a
+    while True:
+        fals = 0
+        for _, f in pairs:
+            fals |= f
+        if not a & fals:
+            return a
+        safe = outside & ~fals
+        rest = [p for p in pairs if not p[0] & safe]
+        if len(rest) == len(pairs):
+            return a & ~fals
+        pairs = rest
 
 
 class InferenceMode(Enum):

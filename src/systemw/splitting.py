@@ -112,10 +112,12 @@ class SyntaxSplitting:
     (atoms, conditional indices): the splitting itself for two parts, every
     part against the rest for more, none for one. The checks of a splitting
     share its `PartScope` per side and its `Engine` per mode and sub-base,
-    each built on first use.
+    each built on first use unless `scopes` (over the base's signature)
+    holds it.
     """
 
-    def __init__(self, base: BeliefBase, parts: Iterable[Sequence[str]]):
+    def __init__(self, base: BeliefBase, parts: Iterable[Sequence[str]],
+                 scopes: Iterable[PartScope] = ()):
         parts = tuple(tuple(part) for part in parts) or ((),)
         home = {a: n for n, part in enumerate(parts) for a in part}  # atom -> part
         if len(home) != sum(map(len, parts)):
@@ -142,7 +144,7 @@ class SyntaxSplitting:
             self.views = tuple(
                 ((part, idxs), (tuple(a for a in atoms if home[a] != n), every - idxs))
                 for n, (part, idxs) in enumerate(sides))
-        self._scopes: dict = {}  # atoms -> PartScope
+        self._scopes = {s.atoms: s for s in scopes}  # atoms -> PartScope
         self._engines: dict = {}  # (mode, conditional indices) -> Engine
 
     def scope(self, atoms: tuple) -> PartScope:
@@ -343,9 +345,9 @@ def _bounds_text(mode: InferenceMode, bound: int, seed: int, checked: int) -> st
     return f"mode={mode.value} exhaustive<= {bound} atoms seed={seed} instances={checked}"
 
 
-def check_di(base: BeliefBase, mode: InferenceMode) -> PostulateReport:
-    """Every conditional of the base must be inferable from the base."""
-    engine = Engine(base, mode)
+def check_di(engine: Engine) -> PostulateReport:
+    """Every conditional of the engine's base must be inferable from it."""
+    base, mode = engine.base, engine.mode
     for i in base.indices():
         c = base[i]
         if not engine.entails_masks(c.antecedent.mask, c.consequent.mask):
@@ -545,7 +547,7 @@ def generate_split_base(vars_per_part: int, conds_per_part: int, seed: int) -> t
                 conds.append(Conditional(scope.formula(ta), scope.formula(tb)))
         base = BeliefBase(sig, conds)
         if tolerance_partition(base) is not None:
-            return base, SyntaxSplitting(base, (atoms1, atoms2))
+            return base, SyntaxSplitting(base, (atoms1, atoms2), scopes)
     raise GenerationError(
         f"no consistent base found in {MAX_GENERATION_ATTEMPTS} attempts (seed={seed})"
     )

@@ -241,7 +241,7 @@ def test_criterion_8_di_and_tv(suite2_bases, suite3_bases, suite4_bases,
     bases += suite3_bases + suite4_bases + [b for b, _ in suite5_bases]
     for base in bases:
         for mode in InferenceMode:
-            report = check_di(base, mode)
+            report = check_di(Engine(base, mode))
             assert report.passed, report.line()
     for mode in InferenceMode:
         report = check_tv(mode, num_atoms=3)

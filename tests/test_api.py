@@ -50,6 +50,8 @@ REMOVED_METHODS = (
 REMOVED_PARAMETERS = (
     (splitting.check_ind, "conjoined_consequent"),
     (preferred.PreferredStructure, "indices"),
+    (splitting.check_di, "base"),
+    (splitting.check_di, "mode"),
 )
 
 

@@ -365,9 +365,9 @@ class TestPostulates:
     def test_checks_share_engines_and_scopes(self, capsys, example1_file,
                                              monkeypatch):
         # The default checks of one run build one engine per base, mode and
-        # conditional indices: di's and tv's, and the splitting's for the
-        # whole base and each part, whose W structures serve the lemmas. The
-        # splitting builds one scope per part.
+        # conditional indices: tv's, and the splitting's for the whole base
+        # (which di reads too) and each part, whose W structures serve the
+        # lemmas. The splitting builds one scope per part.
         engines, structures, scopes = Counter(), [], Counter()
         engine_init, structure_init = Engine.__init__, PreferredStructure.__init__
         scope_init = PartScope.__init__
@@ -393,13 +393,12 @@ class TestPostulates:
         assert code == 0 and out.count(": pass") == 9
         ex1 = ("b", "p", "f", "v", "d")
         assert engines == {
-            (ex1, "w", None): 1,  # di
             (("a", "b", "c"), "w", None): 1,  # tv
             (ex1, "w", (0, 1, 2, 3)): 1,
             (ex1, "w", (0, 2, 3)): 1,
             (ex1, "w", (1,)): 1,
         }
-        assert len(structures) == 5
+        assert len(structures) == 4
         assert scopes == {("b", "p", "f"): 1, ("v", "d"): 1}
 
     def test_golden_default_checks(self, capsys, example1_file):
@@ -447,6 +446,22 @@ class TestFuzz:
     ])
     def test_golden(self, capsys, golden, code, argv):
         assert run(capsys, "fuzz", *argv) == (code, (GOLDEN / golden).read_text(), "")
+
+    def test_splitting_reuses_the_generator_scopes(self, capsys, monkeypatch):
+        # The generator's scope of each part is the one its splitting hands
+        # to the checks: one scope per part and case.
+        scopes = Counter()
+        scope_init = PartScope.__init__
+
+        def count_scope(self, sig, atoms):
+            scopes[tuple(atoms)] += 1
+            scope_init(self, sig, atoms)
+
+        monkeypatch.setattr(PartScope, "__init__", count_scope)
+        code, out, _ = run(capsys, "fuzz", "--vars", "2", "--conds", "2",
+                           "--checks", "synsplit,di,lemmas", "--cases", "40")
+        assert code == 0 and out.endswith("cases=40 failures=0\n")
+        assert scopes == {("a", "b"): 40, ("c", "d"): 40}
 
     def test_part_too_large_is_a_fault(self, capsys):
         # 12 + 24 atoms would need 2^36 bits of world masks.
@@ -509,3 +524,54 @@ class TestFlags:
         assert exc.value.code == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: systemw infer") and err == ""
+
+
+class TestRepeatedMain:
+    """`main` builds its parser on a process's first call and reuses it."""
+
+    def test_one_parser_serves_every_call(self, capsys, example1_file, tmp_path,
+                                          monkeypatch):
+        ex1 = example1_file
+        sequence = [
+            ["infer", ex1, "d,p", "!v", "--mode", "w"],
+            ["partition", ex1],
+            ["order", ex1, "--format", "dot"],
+            ["order", ex1, "--format", "tsv"],
+            ["postulates", ex1, "--mode", "z", "--json"],
+            ["fuzz", "--vars", "2", "--conds", "2", "--cases", "5", "--seed", "7",
+             "--mode", "z", "--checks", "ind"],
+            ["infer", ex1, "b", "f", "--mode", "x"],
+            ["postulates", ex1, "--checks", "bogus"],
+            ["check", str(tmp_path / "missing.cb")],
+        ]
+        # What each call gives with a parser of its own.
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_shared_parser", cli.build_parser)
+            fresh = [run(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2, 1, 1, 1]
+
+        built = []
+        parser_init = cli._Parser.__init__
+
+        def count_parser(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            parser_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", count_parser)
+        cli.build_parser()
+        one_build = len(built)  # the parser and each command's subparser
+        built.clear()
+        cli._shared_parser.cache_clear()
+        forward = [run(capsys, *argv) for argv in sequence]
+        backward = [run(capsys, *argv) for argv in reversed(sequence)]
+        assert forward == fresh and backward[::-1] == fresh
+        assert len(built) == one_build and built[0] == "systemw"
+
+        # A command rebound after the parser is built is the one that runs.
+        def patched(args):
+            print("patched", args.file)
+            return cli.EXIT_YES
+
+        monkeypatch.setattr(cli, "cmd_partition", patched)
+        assert run(capsys, "partition", ex1) == (0, f"patched {ex1}\n", "")
+        assert len(built) == one_build

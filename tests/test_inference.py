@@ -21,7 +21,9 @@ from systemw import (
 )
 
 from systemw.cli import load_belief_base
+from systemw.inference import _p_consequence
 from systemw.splitting import PartScope
+from systemw.tolerance import _partition_pairs
 
 from conftest import chain_queries, chain_text
 from oracles import (
@@ -344,6 +346,34 @@ def test_p_matches_partition_of_extended_base(base_seed, query_seed):
         extended = BeliefBase(sig, base.conditionals + (negated,))
         want = oracle_tolerance_partition(extended) is None
         assert engine.entails_masks(a, b) == want
+
+
+def test_p_stops_once_a_misses_the_remaining_falsifications():
+    """With A = a,b never safe, stage 0 tolerates (!b|c) by world !a!bc and
+    the loop then gets stuck on (b|a), whose verifying worlds all lie in A.
+    A meets the falsifying worlds of (!b|c) but not those of (b|a), so P
+    stops at stage 1 with C(A) = A."""
+    base = load_belief_base("signature: a, b, c\n(b|a)\n(!b|c)\n")
+    a = fm(base, "a,b").mask
+    pairs = [(c.verification_mask, c.falsification_mask) for c in base]
+    full = base.signature.full_mask
+    assert _partition_pairs(pairs, full & ~a) == ([[1]], [0])
+    assert a & base[1].falsification_mask and not a & base[0].falsification_mask
+    reads = []
+
+    class Verification(int):
+        def __and__(self, other):
+            reads.append(other)
+            return int(self) & other
+
+    # Stage 1 would read the verification mask of (b|a) a second time.
+    stuck = [(Verification(pairs[0][0]), pairs[0][1]), pairs[1]]
+    assert _p_consequence(stuck, full, a) == a and len(reads) == 1
+    engine = Engine(base, InferenceMode.P)
+    reference = ReferenceEngine(base, InferenceMode.P)
+    assert engine.consequence(a) == a
+    for b in range(full + 1):
+        assert engine.entails_masks(a, b) == reference.entails_masks(a, b)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

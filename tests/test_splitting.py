@@ -234,7 +234,7 @@ class TestLemmas:
 class TestDiTv:
     def test_di_example1_all_modes(self, example1):
         for mode in InferenceMode:
-            assert check_di(example1, mode).passed
+            assert check_di(Engine(example1, mode)).passed
 
     def test_tv_all_modes(self):
         for mode in InferenceMode:
