@@ -51,7 +51,8 @@ class Engine:
     W and Z read the same preferred structure: C(A) is the minimal worlds of
     A in W and A's worlds of the lowest rank in Z. P keeps the conditionals'
     mask pairs. Every mode caches C(A) per antecedent mask on first use; a
-    cached value depends only on its key.
+    cached value depends only on its key. The cache holds at most the
+    signature's `cache_entries`, and clears itself when full.
     """
 
     def __init__(
@@ -69,6 +70,7 @@ class Engine:
             raise InconsistentBeliefBaseError("belief base is inconsistent")
         self.partition = partition
         self._consequences: dict = {}  # antecedent mask -> C(A)
+        self._bound = base.signature.cache_entries
         if mode is InferenceMode.P:
             pairs = [
                 (base[i].verification_mask, base[i].falsification_mask)
@@ -92,9 +94,13 @@ class Engine:
         """C(A): the worlds of antecedent mask `a` that decide its
         inferences, so that A |~ B iff C(A) ⊆ B. C(0) is 0 in every mode."""
         a &= self.full
-        c = self._consequences.get(a)
+        cache = self._consequences
+        c = cache.get(a)
         if c is None:
-            c = self._consequences[a] = self._compute(a)
+            c = self._compute(a)
+            if len(cache) >= self._bound:
+                cache.clear()
+            cache[a] = c
         return c
 
     def entails_masks(self, a: int, b: int) -> bool:

@@ -9,7 +9,17 @@ integer bit arithmetic.
 `parse_formula` reads a formula in one loop over its tokens and folds the
 mask in as it goes. Each signature interns its literals: a token's node and
 mask are built once and shared by every formula parsed over it, which is why
-the syntax tree nodes are frozen.
+the syntax tree nodes are frozen. Each signature also memoizes the (node,
+mask) of every formula text parsed over it, so a repeated text costs one
+lookup. The memo holds no `Formula`, which points back at its signature:
+the signature would then sit in a reference cycle that only the cyclic
+garbage collector frees.
+
+The memo, and the C(A) cache of every `Engine`, hold at most
+`Signature.cache_entries` entries: CACHE_BYTES over the bytes of two masks
+(a C(A) entry's key and value), with a floor for the objects around them.
+A full cache clears itself and fills again; `dict.clear` is atomic, so
+concurrent queries stay safe.
 """
 
 from __future__ import annotations
@@ -19,6 +29,12 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 MAX_ATOMS = 24
+
+# Bytes each per-signature and per-engine cache may hold (see the module
+# docstring), and the least an entry is counted as: a dict slot, the key and
+# value objects, and a memoized formula's tree.
+CACHE_BYTES = 128 << 20
+MIN_ENTRY_BYTES = 512
 
 _ATOM_RE = re.compile(r"\A[a-z][a-z0-9_]*\Z")
 
@@ -46,7 +62,7 @@ class Signature:
     """Ordered set of distinct atom names; the order fixes world bit layout."""
 
     __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_atom_masks",
-                 "_literals", "_negated")
+                 "_literals", "_negated", "_formulas", "cache_entries", "__weakref__")
 
     def __init__(self, atoms: Sequence[str]):
         atoms = tuple(atoms)
@@ -69,6 +85,9 @@ class Signature:
         # atoms are added by `_literal` on first use.
         self._literals = {"top": (_TOP, self.full_mask), "bot": (_BOT, 0)}
         self._negated = {"top": (Neg(_TOP), 0), "bot": (Neg(_BOT), self.full_mask)}
+        self._formulas: dict = {}  # formula text -> (node, mask), by `parse_formula`
+        # Two masks of num_worlds bits each: num_worlds / 4 bytes.
+        self.cache_entries = CACHE_BYTES // max(self.num_worlds >> 2, MIN_ENTRY_BYTES)
 
     def index(self, atom: str) -> int:
         try:
@@ -264,7 +283,22 @@ def _at(text: str, toks: list, i: int, last: int) -> int:
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:
-    """Parse text per the grammar: ';' disjunction, ','/'&' conjunction, '!' negation.
+    """Parse text per the grammar: ';' disjunction, ','/'&' conjunction, '!'
+    negation. A text parsed over `sig` before is served from the signature's
+    memo; a text that fails is parsed again each time, so its error is
+    always the parser's own."""
+    memo = sig._formulas
+    parsed = memo.get(text)
+    if parsed is None:
+        parsed = _parse(text, sig)
+        if len(memo) >= sig.cache_entries:
+            memo.clear()
+        memo[text] = parsed
+    return Formula(sig, parsed[0], parsed[1])
+
+
+def _parse(text: str, sig: Signature) -> tuple:
+    """(node, mask) of a formula text, not memoized.
 
     One loop over the tokens. The open disjunction and conjunction of the
     innermost group and its pending '!'s are locals; '(' pushes them and
@@ -348,7 +382,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
                 node, mask, disj = Disj(tuple(disj)), mask | dmask, None
             if not stack:
                 if tok is None:
-                    return Formula(sig, node, mask)
+                    return node, mask
                 raise FormulaSyntaxError(f"unexpected token {tok!r}", _at(text, toks, i, i))
             if tok != ")":
                 raise FormulaSyntaxError("expected ')'", _at(text, toks, i, i))
@@ -407,10 +441,11 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
         raise FormulaSyntaxError("conditional needs exactly one '|'", at)
     halves = []
     # The antecedent is parsed first: when both halves have a fault, its
-    # fault is the one reported.
+    # fault is the one reported. A file's lines are parsed once each, so the
+    # halves bypass the memo.
     for start, end in ((bar + 1, len(s) - 1), (1, bar)):
         try:
-            halves.append(parse_formula(s[start:end], sig))
+            halves.append(Formula(sig, *_parse(s[start:end], sig)))
         except FormulaSyntaxError as e:
             e.position += start  # count from the opening parenthesis
             raise
@@ -420,7 +455,7 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
 class BeliefBase:
     """Ordered finite set of conditionals; positions are stable 0-based indices."""
 
-    __slots__ = ("signature", "conditionals")
+    __slots__ = ("signature", "conditionals", "__weakref__")
 
     def __init__(self, signature: Signature, conditionals: Sequence[Conditional]):
         conditionals = tuple(conditionals)

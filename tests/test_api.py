@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import systemw
 from systemw import cli, inference, logic, preferred, splitting, tolerance
@@ -75,3 +77,10 @@ def test_removed_names_are_gone():
         assert not hasattr(cls, name)
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters
+
+
+def test_readme_library_snippet_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

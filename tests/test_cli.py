@@ -12,6 +12,7 @@ import pytest
 from systemw import cli
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
 from systemw.inference import Engine
+from systemw.logic import FormulaSyntaxError, parse_conditional
 from systemw.preferred import PreferredStructure
 from systemw.splitting import PartScope, check_rel
 
@@ -100,6 +101,23 @@ class TestCheck:
         p.write_text(f"signature: a, b\n{line}\n")
         code, out, err = run(capsys, "check", str(p))
         assert (code, out, err) == (1, "", f"error: line 2: {message}\n")
+
+    def test_repeated_bad_half_reports_one_position(self, capsys, tmp_path):
+        # A fault is never memoized: the conditional's parse shifts the
+        # position of its half's fault, and a memoized error would carry
+        # the first shift into the second report.
+        p = tmp_path / "twice.cb"
+        p.write_text("signature: a, b\n(a|b,$)\n(a|b,$)\n")
+        reports = [run(capsys, "check", str(p))]
+        p.write_text("signature: a, b\n(a|b)\n(a|b,$)\n")
+        reports.append(run(capsys, "check", str(p)))
+        message = "unexpected character '$' (at position 5)"
+        assert reports == [(1, "", f"error: line {n}: {message}\n") for n in (2, 3)]
+        base = load_belief_base("signature: a, b\n")
+        for _ in range(2):
+            with pytest.raises(FormulaSyntaxError) as exc:
+                parse_conditional("(a|b,$)", base.signature)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("command", ["check", "split"])
     @pytest.mark.parametrize("name", ["top", "bot"])

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from systemw import logic
 from systemw.logic import (
     Conditional,
     Conj,
@@ -282,6 +283,56 @@ def test_parser_matches_recursive_descent_reference(sig_text):
     sig, text = sig_text
     assert parse_outcome(parse_formula, text, sig) == parse_outcome(
         reference_parse_formula, text, sig)
+
+
+@st.composite
+def repeated_texts(draw):
+    """(signature, texts): formula and token texts, some of them drawn for
+    other signatures, asked in a random order with repeats."""
+    pool = draw(st.lists(st.one_of(formula_text(), token_text()), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return pool[0][0], [pool[i][1] for i in picks]
+
+
+@given(repeated_texts())
+@settings(max_examples=300, deadline=None)
+def test_memo_matches_reference_on_repeated_texts(sig_texts):
+    """A text served from the signature's memo parses as the reference
+    parser parses it, on its first call and on every repeat; so does a
+    text that fails, with the same error each time."""
+    sig, texts = sig_texts
+    for text in texts:
+        assert parse_outcome(parse_formula, text, sig) == parse_outcome(
+            reference_parse_formula, text, sig)
+
+
+class TestMemo:
+    def test_repeated_text_shares_the_tree_not_the_formula(self):
+        sig = Signature(["a", "b"])
+        f, g = parse_formula("a,!b", sig), parse_formula("a,!b", sig)
+        assert f is not g
+        assert f.ast is g.ast and f.mask is g.mask and f.signature is sig
+        assert parse_formula(" a , !b", sig).ast is not f.ast  # keyed by text
+
+    def test_full_memo_clears_and_parses_again(self, monkeypatch):
+        monkeypatch.setattr(logic, "CACHE_BYTES", 3 * logic.MIN_ENTRY_BYTES)
+        sig = Signature(["a", "b", "c"])
+        assert sig.cache_entries == 3
+        texts = ["a", "b", "c", "a,b", "b;c", "!a", "a", "b;c", "top"]
+        sizes = []
+        for text in texts:
+            assert parse_outcome(parse_formula, text, sig) == parse_outcome(
+                reference_parse_formula, text, sig)
+            sizes.append(len(sig._formulas))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2, 3]
+
+    def test_bound_is_the_budget_over_two_masks(self):
+        # 10 atoms: two masks are 256 bytes, under the per-entry floor.
+        assert Signature([f"a{i}" for i in range(10)]).cache_entries == (
+            logic.CACHE_BYTES // logic.MIN_ENTRY_BYTES)
+        # 24 atoms: two masks of 2**24 bits are 4 MiB.
+        assert Signature([f"a{i}" for i in range(24)]).cache_entries == (
+            logic.CACHE_BYTES // (4 << 20))
 
 
 class TestInternedLiterals:
