@@ -166,6 +166,8 @@ def _check_names(text: str, allowed) -> list:
     for name in names:
         if name not in allowed:
             raise ValueError(f"unknown check: {name}")
+    if not names:  # a run that checks nothing must not report success
+        raise ValueError("no checks given")
     return names
 
 

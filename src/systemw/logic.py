@@ -61,8 +61,8 @@ class UnknownAtomError(FormulaSyntaxError):
 class Signature:
     """Ordered set of distinct atom names; the order fixes world bit layout."""
 
-    __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_atom_masks",
-                 "_literals", "_negated", "_formulas", "cache_entries", "__weakref__")
+    __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_literals",
+                 "_negated", "_formulas", "cache_entries", "__weakref__")
 
     def __init__(self, atoms: Sequence[str]):
         atoms = tuple(atoms)
@@ -80,7 +80,6 @@ class Signature:
         self.num_atoms = len(atoms)
         self.num_worlds = 1 << len(atoms)
         self.full_mask = (1 << self.num_worlds) - 1
-        self._atom_masks: dict[int, int] = {}
         # Literal token -> (node, mask), and the same for '!' before it;
         # atoms are added by `_literal` on first use.
         self._literals = {"top": (_TOP, self.full_mask), "bot": (_BOT, 0)}
@@ -100,16 +99,8 @@ class Signature:
 
     def atom_mask(self, i: int) -> int:
         """Model mask of atom i: bit w set iff world w makes atom i true."""
-        mask = self._atom_masks.get(i)
-        if mask is None:
-            half = 1 << i
-            mask = ((1 << half) - 1) << half  # one period: low half 0s, high half 1s
-            width = half << 1
-            while width < self.num_worlds:
-                mask |= mask << width
-                width <<= 1
-            self._atom_masks[i] = mask
-        return mask
+        atom = self.atoms[i]
+        return (self._literals.get(atom) or self._literal(atom))[1]
 
     def _literal(self, atom: str, negated: bool = False) -> tuple:
         """(node, mask) of an atom of the signature, or of its negation,
@@ -118,7 +109,13 @@ class Signature:
             node, mask = self._literals.get(atom) or self._literal(atom)
             lit = self._negated[atom] = (Neg(node), mask ^ self.full_mask)
         else:
-            lit = self._literals[atom] = (Var(atom), self.atom_mask(self._index[atom]))
+            half = 1 << self._index[atom]
+            mask = ((1 << half) - 1) << half  # one period: low half 0s, high half 1s
+            width = half << 1
+            while width < self.num_worlds:
+                mask |= mask << width
+                width <<= 1
+            lit = self._literals[atom] = (Var(atom), mask)
         return lit
 
     def render_world(self, bits: int) -> str:

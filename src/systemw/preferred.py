@@ -11,10 +11,11 @@ needs only each layer's falsification masks; so are its worlds of the lowest
 system Z rank, which needs only each layer's union. The relation itself is
 kept per profile class, a (profile, world mask) pair; the class list and the
 index of every world's class are built on first use, by the profile and
-relation queries only. The relation between the classes is built over the
-trie of their profiles, top layer first: two classes are related only at
-the layer where their profiles first differ, so only the children of one
-trie node are ever compared, and covers are read off the trie as well.
+relation queries only. Each class's worlds below and above it come from a
+descent over the same falsification masks, one per class. Only the Hasse
+covers are read off the trie of the profiles, top layer first: two classes
+are related only at the layer where their profiles first differ, so only the
+children of one trie node are ever compared.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class PreferredStructure:
 
     `minimal` and `lowest_rank` descend the tolerance layers. `classes`
     lists the profile classes as (per-layer profile, world mask) pairs. It,
-    the world-to-class index and the relation between classes (built over
-    the profile trie) are computed on first use. Given the `partition` of
-    a sub-base, as an engine over a sub-base passes it, the structure is
-    that sub-base's.
+    the world-to-class index, the relation between classes (a descent over
+    the layers per class) and the covers (built over the profile trie) are
+    computed on first use. Given the `partition` of a sub-base, as an
+    engine over a sub-base passes it, the structure is that sub-base's.
     """
 
     def __init__(self, base: BeliefBase, partition: Optional[TolerancePartition] = None):
@@ -89,7 +90,6 @@ class PreferredStructure:
             for f in fals:
                 union |= f
             self._layers.append((fals, union))
-        self._down_w = self._up_w = self._cover_w = None
 
     @cached_property
     def classes(self) -> list:
@@ -128,28 +128,45 @@ class PreferredStructure:
             index[tuple([column[w] for column in columns])] = c
         return array("I", map(index.__getitem__, zip(*columns)))
 
-    def _relate(self) -> None:
-        """Fill in the class relation: per class, the worlds strictly below
-        it, strictly above it and covering it (above it with nothing strictly
-        between).
+    @cached_property
+    def _relation(self) -> tuple:
+        """Per class, the worlds strictly below it and strictly above it. From
+        the top layer down, `same` keeps the worlds whose falsified sets equal
+        the class's so far; of these, those falsifying a subset of the class's
+        set at the next layer are `sub`, a superset `sup`. A strict subset is
+        below, a strict superset above, any other set unrelated."""
+        layers = [list(zip(sorted(layer), fals))
+                  for layer, (fals, _) in zip(reversed(self.partition.layers), self._layers)]
+        down, up = [], []
+        for prof, _ in self.classes:
+            same, below, above = self.signature.full_mask, 0, 0
+            for x, layer in zip(reversed(prof), layers):
+                outside, sup = 0, same
+                for i, f in layer:
+                    if x >> i & 1:
+                        sup &= f
+                    else:
+                        outside |= f
+                sub = same & ~outside
+                same = sub & sup
+                below |= sub ^ same
+                above |= sup ^ same
+            down.append(below)
+            up.append(above)
+        return down, up
 
-        Two classes are related only at the highest layer where their
-        profiles differ. So the classes form a trie keyed by their falsified
-        sets, top layer first, and only siblings in it are compared. A class
-        lies below every class of a sibling subtree whose set contains its
-        own, and it is covered by the classes minimal in such a subtree when
-        that set covers its own among the siblings and it is maximal in its
-        own subtree: a class strictly between the two would have to sit in
-        one of the two subtrees or in a sibling strictly between them."""
-        if self._cover_w is not None:
-            return
-        classes = self.classes
-        n = len(classes)
-        down_w, up_w, cover_w = [0] * n, [0] * n, [0] * n
-        # A trie node, built from the lowest layer up: (a profile of its
-        # classes, its worlds, the worlds of its classes minimal within it,
-        # its classes, its classes maximal within it).
-        nodes = [(prof, m, m, [c], [c]) for c, (prof, m) in enumerate(classes)]
+    @cached_property
+    def _covers(self) -> list:
+        """Per class, the worlds above it with none strictly between. Classes
+        are related only at the highest layer where their profiles differ, so
+        they form a trie keyed by their falsified sets, top layer first. A
+        class maximal in its subtree is covered by the classes minimal in each
+        sibling subtree whose set covers its own among the siblings: a class
+        between them would sit in one of the two or in a sibling between."""
+        cover_w = [0] * len(self.classes)
+        # A trie node, built from the lowest layer up: (a profile of its classes,
+        # the worlds of its classes minimal in it, its classes maximal in it).
+        nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(self.classes)]
         for j in range(len(self.partition.layers)):
             groups = {}  # the children of each node of the next layer up
             for node in nodes:
@@ -160,39 +177,23 @@ class PreferredStructure:
                     nodes.append(kids[0])
                     continue
                 kids.sort(key=lambda kid: kid[0][j].bit_count())
-                profs, worlds, least, members, most = zip(*kids)
+                profs, least, most = zip(*kids)
                 covered = _lower_covers([prof[j] for prof in profs])
-                # Per child, the worlds of the siblings below it and above
-                # it, and those of the minimal classes of the siblings
-                # covering it.
-                below, above, cover = [0] * len(kids), [0] * len(kids), [0] * len(kids)
+                cover = [0] * len(kids)  # minimal worlds of the covering siblings
                 for p, lower in enumerate(covered):
                     for q in lower:
-                        below[p] |= worlds[q] | below[q]
-                for p in range(len(kids) - 1, -1, -1):
-                    for q in covered[p]:
-                        above[q] |= worlds[p] | above[p]
                         cover[q] |= least[p]
-                node_worlds = node_least = 0
-                node_members, node_most = [], []
-                for p in range(len(kids)):
-                    node_worlds |= worlds[p]
-                    node_members += members[p]
-                    if below[p]:
-                        for c in members[p]:
-                            down_w[c] |= below[p]
-                    else:
+                node_least, node_most = 0, []
+                for p, lower in enumerate(covered):
+                    if not lower:  # no sibling below it
                         node_least |= least[p]
-                    if above[p]:
-                        for c in members[p]:
-                            up_w[c] |= above[p]
+                    if cover[p]:
                         for c in most[p]:
                             cover_w[c] |= cover[p]
                     else:
                         node_most += most[p]
-                nodes.append((profs[0], node_worlds, node_least, node_members, node_most))
-        self._down_w, self._up_w = down_w, up_w
-        self._cover_w = cover_w  # set last: it marks the relation as filled in
+                nodes.append((profs[0], node_least, node_most))
+        return cover_w
 
     # --- queries -------------------------------------------------------------
 
@@ -201,8 +202,7 @@ class PreferredStructure:
 
     def below(self, w: int) -> int:
         """Bitmask of worlds strictly below w."""
-        self._relate()
-        return self._down_w[self._class_id[w]]
+        return self._relation[0][self._class_id[w]]
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""
@@ -264,8 +264,7 @@ class PreferredStructure:
 
     def pairs(self) -> Iterator[tuple]:
         """All related pairs (w, w2) with w strictly below w2, sorted."""
-        self._relate()
-        up = [_bits(m) for m in self._up_w]
+        up = [_bits(m) for m in self._relation[1]]
         for w, c in enumerate(self._class_id):
             for w2 in up[c]:
                 yield (w, w2)
@@ -273,11 +272,10 @@ class PreferredStructure:
     def to_dot(self) -> str:
         """Hasse diagram; arrows point from a world to the more-preferred one.
         Edges come sorted by the more-preferred world, then the other."""
-        self._relate()
         lines = ["digraph preferred_structure {"]
         lines += [f'  w{w} [label="{label}"];'
                   for w, label in enumerate(self.signature.render_worlds())]
-        heads = [[f"  w{hi} -> w" for hi in _bits(m)] for m in self._cover_w]
+        heads = [[f"  w{hi} -> w" for hi in _bits(m)] for m in self._covers]
         for lo, c in enumerate(self._class_id):
             if heads[c]:
                 tail = f"{lo};"
@@ -290,9 +288,8 @@ class PreferredStructure:
         preferred to w2, as world labels, sorted by w then w2; every row ends
         in a newline, so an empty relation yields nothing. Yields the rows of
         one world w at a time, so the whole text is never held at once."""
-        self._relate()
         labels = self.signature.render_worlds()
-        uppers = [[labels[w2] for w2 in _bits(m)] for m in self._up_w]
+        uppers = [[labels[w2] for w2 in _bits(m)] for m in self._relation[1]]
         for w, c in enumerate(self._class_id):
             if uppers[c]:
                 label = labels[w]

@@ -62,7 +62,8 @@ class PartScope:
         for a, p in zip(self.atoms, self.positions):
             true = sig.atom_mask(p)
             groups = [g & ~true for g in groups] + [g & true for g in groups]
-            pos, neg = Var(a), Neg(Var(a))
+            pos = Var(a)
+            neg = Neg(pos)
             minterms = [m + (neg,) for m in minterms] + [m + (pos,) for m in minterms]
         self.group_masks = groups
         self._minterms = [m[0] if len(m) == 1 else Conj(m) for m in minterms]
@@ -361,10 +362,13 @@ def check_di(engine: Engine) -> PostulateReport:
     )
 
 
-def check_tv(mode: InferenceMode, num_atoms: int = 3) -> PostulateReport:
+TV_ATOMS = 3  # (TV) is checked on all 65,536 formula pairs over 3 atoms
+
+
+def check_tv(mode: InferenceMode) -> PostulateReport:
     """On the empty base, inference must coincide with classical entailment;
     exhaustive over all semantic formula pairs of a fresh signature."""
-    sig = Signature(string.ascii_lowercase[:num_atoms])
+    sig = Signature(string.ascii_lowercase[:TV_ATOMS])
     base = BeliefBase(sig, ())
     engine = Engine(base, mode)
     full = sig.full_mask
@@ -377,11 +381,11 @@ def check_tv(mode: InferenceMode, num_atoms: int = 3) -> PostulateReport:
                 return PostulateReport(
                     "tv", False,
                     witness={"A": str(scope.formula(a)), "B": str(scope.formula(b))},
-                    search_bounds=f"mode={mode.value} atoms={num_atoms} exhaustive",
+                    search_bounds=f"mode={mode.value} atoms={TV_ATOMS} exhaustive",
                 )
     return PostulateReport(
         "tv", True,
-        search_bounds=f"mode={mode.value} atoms={num_atoms} pairs={space * space}",
+        search_bounds=f"mode={mode.value} atoms={TV_ATOMS} pairs={space * space}",
     )
 
 

@@ -281,10 +281,18 @@ def export_edges(ps) -> list:
 
 def above_masks(ps) -> list:
     """Per world, the mask of the worlds strictly above it, from the tsv
-    export."""
+    export. The rows of one world are one chunk of it. Worlds of one class
+    have the same upper labels, so each distinct list of them is read once."""
+    number = _world_numbers(ps)
     up = [0] * ps.signature.num_worlds
-    for w, w2 in export_pairs(ps):
-        up[w] |= 1 << w2
+    read = {}
+    for chunk in ps.to_tsv():
+        lo = chunk[:chunk.index("\t")]
+        uppers = chunk.replace(lo + "\t", "")
+        assert "\t" not in uppers  # every row of the chunk starts with lo
+        if uppers not in read:
+            read[uppers] = sum(1 << number[hi] for hi in uppers.splitlines())
+        up[number[lo]] = read[uppers]
     return up
 
 

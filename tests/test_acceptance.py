@@ -244,7 +244,7 @@ def test_criterion_8_di_and_tv(suite2_bases, suite3_bases, suite4_bases,
             report = check_di(Engine(base, mode))
             assert report.passed, report.line()
     for mode in InferenceMode:
-        report = check_tv(mode, num_atoms=3)
+        report = check_tv(mode)
         assert report.passed, report.line()
     elapsed = verdict(
         8, f"(DI) over {len(bases)} bases x 3 modes and exhaustive (TV)", True, t0

@@ -54,6 +54,7 @@ REMOVED_PARAMETERS = (
     (preferred.PreferredStructure, "indices"),
     (splitting.check_di, "base"),
     (splitting.check_di, "mode"),
+    (splitting.check_tv, "num_atoms"),
 )
 
 

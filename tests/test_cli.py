@@ -356,6 +356,15 @@ class TestPostulates:
         )
         assert code == 1 and "unknown check" in err
 
+    @pytest.mark.parametrize("command", ["postulates", "fuzz"])
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list_is_a_fault(self, capsys, example1_file, command,
+                                         checks):
+        # A run that checks nothing would otherwise print no failure and pass.
+        args = [example1_file] if command == "postulates" else ["--cases", "2"]
+        code, out, err = run(capsys, command, *args, "--checks", checks)
+        assert (code, out, err) == (1, "", "error: no checks given\n")
+
     def test_di_and_tv_skip_splitting_detection(self, capsys, example1_file,
                                                 monkeypatch):
         def refuse(base):

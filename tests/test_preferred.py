@@ -24,6 +24,7 @@ from oracles import (
     random_layered_base,
     reference_class_id,
     reference_relation,
+    set_bits,
     transitive_closure,
 )
 
@@ -241,9 +242,9 @@ def test_profiles_same_before_and_after_relation(seed):
         return [[profile_less(p, q) for q in profiles] for p in profiles]
 
     before = order()
-    assert ps._cover_w is None  # the relation is not filled in yet
+    assert "_relation" not in vars(ps)  # the relation is not built yet
     ps.below(0)
-    assert ps._cover_w is not None
+    assert "_relation" in vars(ps)
     assert before == want and order() == want
 
 
@@ -271,8 +272,9 @@ REFERENCE_BASES = (
 
 @pytest.mark.parametrize("spec", REFERENCE_BASES)
 def test_relation_matches_pairwise_reference(spec):
-    """The trie-built relation and the one-pass class index equal the
-    comparison of every pair of classes and the class-by-class index."""
+    """`below`, the tsv and the dot export, and the one-pass class index,
+    equal the comparison of every pair of classes and the class-by-class
+    index."""
     if isinstance(spec, str):
         base = load_belief_base(spec)
     elif spec[0] == "split":
@@ -286,5 +288,6 @@ def test_relation_matches_pairwise_reference(spec):
     down_w, up_w, cover_w = reference_relation(ps)
     worlds = range(base.signature.num_worlds)
     assert [ps.below(w) for w in worlds] == [down_w[class_id[w]] for w in worlds]
-    # The tsv and dot exports read these two per class.
-    assert ps._up_w == up_w and ps._cover_w == cover_w
+    assert above_masks(ps) == [up_w[class_id[w]] for w in worlds]
+    covers = [set_bits(m) for m in cover_w]
+    assert export_edges(ps) == [(w, w2) for w in worlds for w2 in covers[class_id[w]]]

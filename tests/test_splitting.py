@@ -238,7 +238,7 @@ class TestDiTv:
 
     def test_tv_all_modes(self):
         for mode in InferenceMode:
-            assert check_tv(mode, num_atoms=2).passed
+            assert check_tv(mode).passed
 
 
 class TestGenerator:
