@@ -162,7 +162,8 @@ CHECKS = {
 
 
 def _check_names(text: str, allowed) -> list:
-    names = [c.strip() for c in text.split(",") if c.strip()]
+    # Each check runs once, at the first place it is named.
+    names = list(dict.fromkeys(c.strip() for c in text.split(",") if c.strip()))
     for name in names:
         if name not in allowed:
             raise ValueError(f"unknown check: {name}")
@@ -285,15 +286,9 @@ def main(argv=None) -> int:
         # Looked up by name at call time, so a rebound `cmd_*` is the one
         # that runs.
         return globals()[f"cmd_{args.command}"](args)
-    except (
-        BeliefBaseFormatError,
-        FormulaSyntaxError,
-        SignatureError,
-        InconsistentBeliefBaseError,
-        GenerationError,
-        ValueError,
-        OSError,
-    ) as e:
+    # Bad files, formulas, signatures and flags and inconsistent bases all
+    # raise subclasses of ValueError.
+    except (ValueError, GenerationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import partial
-from typing import Optional, Sequence
 
 from .logic import BeliefBase, Formula
 from .preferred import PreferredStructure
@@ -55,27 +54,17 @@ class Engine:
     signature's `cache_entries`, and clears itself when full.
     """
 
-    def __init__(
-        self,
-        base: BeliefBase,
-        mode: InferenceMode,
-        indices: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, base: BeliefBase, mode: InferenceMode):
         self.base = base
         self.mode = mode
         self.full = base.signature.full_mask
-        self._indices = list(base.indices()) if indices is None else list(indices)
-        partition = tolerance_partition(base, self._indices)
+        partition = tolerance_partition(base)
         if partition is None:
             raise InconsistentBeliefBaseError("belief base is inconsistent")
-        self.partition = partition
         self._consequences: dict = {}  # antecedent mask -> C(A)
         self._bound = base.signature.cache_entries
         if mode is InferenceMode.P:
-            pairs = [
-                (base[i].verification_mask, base[i].falsification_mask)
-                for i in self._indices
-            ]
+            pairs = [(c.verification_mask, c.falsification_mask) for c in base]
             # Not a bound method: the engine would then be in a reference
             # cycle, and its cache freed only by the garbage collector.
             self._compute = partial(_p_consequence, pairs, self.full)

@@ -70,8 +70,8 @@ class PreferredStructure:
     lists the profile classes as (per-layer profile, world mask) pairs. It,
     the world-to-class index, the relation between classes (a descent over
     the layers per class) and the covers (built over the profile trie) are
-    computed on first use. Given the `partition` of a sub-base, as an
-    engine over a sub-base passes it, the structure is that sub-base's.
+    computed on first use. An engine passes the `partition` it has already
+    computed for the base.
     """
 
     def __init__(self, base: BeliefBase, partition: Optional[TolerancePartition] = None):

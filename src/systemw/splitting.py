@@ -29,7 +29,7 @@ from .logic import (
     Var,
 )
 from .preferred import PreferredStructure
-from .tolerance import tolerance_partition
+from .tolerance import TolerancePartition, tolerance_partition
 
 
 class GenerationError(RuntimeError):
@@ -157,11 +157,15 @@ class SyntaxSplitting:
 
     def engine(self, mode: InferenceMode, indices: Optional[frozenset] = None) -> Engine:
         """The engine of the sub-base of the conditionals `indices`, by
-        default of the whole base."""
-        indices = frozenset(self.base.indices()) if indices is None else indices
+        default of the whole base. A sub-base is a belief base of its own,
+        its conditionals in base order and numbered from 0."""
+        base = self.base
+        indices = frozenset(base.indices()) if indices is None else indices
         engine = self._engines.get((mode, indices))
         if engine is None:
-            engine = self._engines[mode, indices] = Engine(self.base, mode, sorted(indices))
+            if len(indices) < len(base):
+                base = BeliefBase(base.signature, [base[i] for i in sorted(indices)])
+            engine = self._engines[mode, indices] = Engine(base, mode)
         return engine
 
     def structure(self, indices: Optional[frozenset] = None) -> PreferredStructure:
@@ -398,7 +402,12 @@ def check_lemma1(splitting: SyntaxSplitting) -> PostulateReport:
     op = splitting.structure().partition
     k = op.k
     for view in splitting.views:
-        subs = [splitting.structure(idxs).partition for _, idxs in view]
+        subs = []
+        for _, idxs in view:  # layers of sub-base positions, as base indices
+            order = sorted(idxs)
+            subs.append(TolerancePartition(tuple(
+                frozenset(order[p] for p in layer)
+                for layer in splitting.structure(idxs).partition.layers)))
         for (_, idxs), sub in zip(view, subs):
             for j in range(sub.k + 1):
                 expected = op.layers[j] & idxs if j <= k else frozenset()

@@ -28,6 +28,7 @@ REMOVED_FUNCTIONS = (
     "_node_mask",
     "two_part_views",
     "_split_structures",
+    "_partition_pairs",
 )
 REMOVED_METHODS = (
     (logic.Conditional, "evaluate"),
@@ -55,6 +56,8 @@ REMOVED_PARAMETERS = (
     (splitting.check_di, "base"),
     (splitting.check_di, "mode"),
     (splitting.check_tv, "num_atoms"),
+    (tolerance.tolerance_partition, "indices"),
+    (inference.Engine, "indices"),
 )
 
 

@@ -14,7 +14,7 @@ from systemw.cli import load_belief_base, main, BeliefBaseFormatError
 from systemw.inference import Engine
 from systemw.logic import FormulaSyntaxError, parse_conditional
 from systemw.preferred import PreferredStructure
-from systemw.splitting import PartScope, check_rel
+from systemw.splitting import PartScope, check_di, check_rel
 
 from conftest import chain_text
 from oracles import transitive_closure
@@ -375,6 +375,20 @@ class TestPostulates:
         assert (code, err) == (0, "")
         assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
 
+    def test_repeated_check_names_run_once(self, capsys, example1_file,
+                                           monkeypatch):
+        calls = []
+
+        def counted(engine):
+            calls.append(engine)
+            return check_di(engine)
+
+        monkeypatch.setattr(cli, "check_di", counted)
+        code, out, err = run(capsys, "postulates", example1_file,
+                             "--checks", "di,di,tv, di,tv")
+        assert (code, err) == (0, "") and len(calls) == 1
+        assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
+
     def test_registry_calls_checks_by_module_name(self, capsys, example1_file,
                                                   monkeypatch):
         # A wrapper bound to the module name (as the benchmark's tracer binds
@@ -391,19 +405,18 @@ class TestPostulates:
 
     def test_checks_share_engines_and_scopes(self, capsys, example1_file,
                                              monkeypatch):
-        # The default checks of one run build one engine per base, mode and
-        # conditional indices: tv's, and the splitting's for the whole base
-        # (which di reads too) and each part, whose W structures serve the
-        # lemmas. The splitting builds one scope per part.
+        # The default checks of one run build one engine per base and mode:
+        # tv's, and the splitting's for the whole base (which di reads too)
+        # and each part's sub-base, whose W structures serve the lemmas. The
+        # splitting builds one scope per part.
         engines, structures, scopes = Counter(), [], Counter()
         engine_init, structure_init = Engine.__init__, PreferredStructure.__init__
         scope_init = PartScope.__init__
 
-        def count_engine(self, base, mode, indices=None):
-            key = (base.signature.atoms, mode.value,
-                   None if indices is None else tuple(indices))
+        def count_engine(self, base, mode):
+            key = (base.signature.atoms, mode.value, tuple(map(str, base)))
             engines[key] += 1
-            engine_init(self, base, mode, indices)
+            engine_init(self, base, mode)
 
         def count_structure(self, *args, **kwargs):
             structures.append(args)
@@ -420,10 +433,10 @@ class TestPostulates:
         assert code == 0 and out.count(": pass") == 9
         ex1 = ("b", "p", "f", "v", "d")
         assert engines == {
-            (("a", "b", "c"), "w", None): 1,  # tv
-            (ex1, "w", (0, 1, 2, 3)): 1,
-            (ex1, "w", (0, 2, 3)): 1,
-            (ex1, "w", (1,)): 1,
+            (("a", "b", "c"), "w", ()): 1,  # tv
+            (ex1, "w", ("(f|b)", "(!v|d)", "(b|p)", "(!f|p)")): 1,
+            (ex1, "w", ("(f|b)", "(b|p)", "(!f|p)")): 1,
+            (ex1, "w", ("(!v|d)",)): 1,
         }
         assert len(structures) == 4
         assert scopes == {("b", "p", "f"): 1, ("v", "d"): 1}
@@ -499,6 +512,23 @@ class TestFuzz:
     def test_tv_is_not_a_fuzz_check(self, capsys):
         code, out, err = run(capsys, "fuzz", "--checks", "tv", "--cases", "1")
         assert (code, out, err) == (1, "", "error: unknown check: tv\n")
+
+    def test_repeated_check_names_run_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(engine):
+            calls.append(engine)
+            return check_di(engine)
+
+        monkeypatch.setattr(cli, "check_di", counted)
+        assert run(capsys, "fuzz", "--cases", "3", "--checks", "di,di") == (
+            0, "cases=3 failures=0\n", "")
+        assert len(calls) == 3
+        # Each failure is reported once, as if its check were named once.
+        args = ["fuzz", "--vars", "2", "--cases", "30", "--seed", "7", "--mode", "z"]
+        once = run(capsys, *args, "--checks", "ind")
+        assert once[0] == 2
+        assert run(capsys, *args, "--checks", "ind,ind") == once
 
     def test_zero_cases(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--cases", "0")

@@ -23,7 +23,6 @@ from systemw import (
 from systemw.cli import load_belief_base
 from systemw.inference import _p_consequence
 from systemw.splitting import PartScope
-from systemw.tolerance import _partition_pairs
 
 from conftest import chain_queries, chain_text
 from oracles import (
@@ -357,7 +356,11 @@ def test_p_stops_once_a_misses_the_remaining_falsifications():
     a = fm(base, "a,b").mask
     pairs = [(c.verification_mask, c.falsification_mask) for c in base]
     full = base.signature.full_mask
-    assert _partition_pairs(pairs, full & ~a) == ([[1]], [0])
+    # Stage 0, with A's worlds never safe, tolerates (!b|c) only; stage 1
+    # tolerates nothing.
+    safe = full & ~a & ~(pairs[0][1] | pairs[1][1])
+    assert pairs[1][0] & safe and not pairs[0][0] & safe
+    assert not pairs[0][0] & full & ~a & ~pairs[0][1]
     assert a & base[1].falsification_mask and not a & base[0].falsification_mask
     reads = []
 

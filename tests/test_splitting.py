@@ -23,11 +23,13 @@ from systemw import (
     tolerance_partition,
 )
 from systemw.logic import atoms_of
+from systemw.preferred import PreferredStructure
 from systemw.splitting import (
     MAX_SCOPE_BITS,
     PartScope,
     SyntaxSplitting,
 )
+from systemw.tolerance import TolerancePartition
 
 from oracles import conjoin, node_mask
 
@@ -208,12 +210,29 @@ class TestLemmas:
 
     def test_lemma1_sub_partitions_example1(self, example1):
         spl = detect_splitting(example1)
-        op1 = tolerance_partition(example1, sorted(spl.conditional_parts[0]))
-        op2 = tolerance_partition(example1, sorted(spl.conditional_parts[1]))
-        assert [cond_strs(example1, l) for l in op1.layers] == [
+        ps1, ps2 = (spl.structure(idxs) for idxs in spl.conditional_parts)
+        assert [cond_strs(ps1.base, l) for l in ps1.partition.layers] == [
             {"(f|b)"}, {"(b|p)", "(!f|p)"}
         ]
-        assert [cond_strs(example1, l) for l in op2.layers] == [{"(!v|d)"}]
+        assert [cond_strs(ps2.base, l) for l in ps2.partition.layers] == [{"(!v|d)"}]
+
+    def test_lemma1_witness_names_base_indices(self, example1, monkeypatch):
+        # A side whose layers come back reversed breaks claim 1 at layer 0.
+        # The side's sub-base numbers (f|b), (b|p), (!f|p) as 0, 1, 2; the
+        # witness names them by their indices in the base.
+        structure = SyntaxSplitting.structure
+
+        def reversed_sides(self, indices=None):
+            ps = structure(self, indices)
+            if indices is None or ps.partition.k < 1:
+                return ps
+            layers = tuple(reversed(ps.partition.layers))
+            return PreferredStructure(ps.base, TolerancePartition(layers))
+
+        monkeypatch.setattr(SyntaxSplitting, "structure", reversed_sides)
+        assert check_lemma1(detect_splitting(example1)).line() == (
+            "lemma1: FAIL [partition comparison] witness: "
+            "claim=1 layer=0 sub=[2, 3] expected=[0]")
 
     def test_lemma1_empty_side(self):
         # one side of the splitting carries no conditionals: l2 = -1, k = l1
@@ -235,6 +254,21 @@ class TestDiTv:
     def test_di_example1_all_modes(self, example1):
         for mode in InferenceMode:
             assert check_di(Engine(example1, mode)).passed
+
+    def test_di_on_every_side_engine(self, example1):
+        # A side's engine answers for the side's sub-base alone: its base
+        # holds exactly the side's conditionals, each inferable from it.
+        splittings = [detect_splitting(example1)]
+        splittings += [generate_split_base(1 + seed % 2, 2 + seed % 2, seed)[1]
+                       for seed in range(100)]
+        for spl in splittings:
+            for idxs in spl.conditional_parts:
+                side = tuple(spl.base[i] for i in sorted(idxs))
+                for mode in InferenceMode:
+                    engine = spl.engine(mode, idxs)
+                    assert engine.base.conditionals == side
+                    report = check_di(engine)
+                    assert report.passed, report.line()
 
     def test_tv_all_modes(self):
         for mode in InferenceMode:

@@ -96,10 +96,12 @@ class TestTolerancePartition:
         for i in part.layers[1]:
             assert not oracle_tolerated(example1, i, example1.indices())
 
-    def test_subset_partition_uses_original_indices(self, example1):
-        part = tolerance_partition(example1, [2, 3])  # (b|p), (!f|p)
+    def test_sub_base_partition_numbers_its_own_conditionals(self, example1):
+        sub = BeliefBase(example1.signature, [example1[2], example1[3]])
+        part = tolerance_partition(sub)  # (b|p), (!f|p)
         assert part is not None
-        assert part.layers == (frozenset({2, 3}),)
+        assert part.layers == (frozenset({0, 1}),)
+        assert [cond_strs(sub, l) for l in part.layers] == [{"(b|p)", "(!f|p)"}]
 
     def test_consistency_flag(self, example1):
         assert tolerance_partition(example1) is not None
