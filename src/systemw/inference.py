@@ -58,18 +58,17 @@ class Engine:
         self.base = base
         self.mode = mode
         self.full = base.signature.full_mask
-        partition = tolerance_partition(base)
-        if partition is None:
-            raise InconsistentBeliefBaseError("belief base is inconsistent")
         self._consequences: dict = {}  # antecedent mask -> C(A)
         self._bound = base.signature.cache_entries
         if mode is InferenceMode.P:
+            if tolerance_partition(base) is None:
+                raise InconsistentBeliefBaseError("belief base is inconsistent")
             pairs = [(c.verification_mask, c.falsification_mask) for c in base]
             # Not a bound method: the engine would then be in a reference
             # cycle, and its cache freed only by the garbage collector.
             self._compute = partial(_p_consequence, pairs, self.full)
         else:
-            self._ps = PreferredStructure(base, partition=partition)
+            self._ps = PreferredStructure(base)
             self._compute = (self._ps.minimal if mode is InferenceMode.W
                              else self._ps.lowest_rank)
 

@@ -394,13 +394,17 @@ def _parse(text: str, sig: Signature) -> tuple:
 class Conditional:
     """Defeasible rule (B|A): 'if A then usually B'."""
 
-    __slots__ = ("antecedent", "consequent")
+    __slots__ = ("antecedent", "consequent", "falsification_mask")
 
     def __init__(self, antecedent: Formula, consequent: Formula):
         if antecedent.signature != consequent.signature:
             raise SignatureError("antecedent and consequent over different signatures")
         self.antecedent = antecedent
         self.consequent = consequent
+        # Computed once: the tolerance partition, the preferred structure and
+        # p-entailment all read it. A & ~B, as A's mask lies within full.
+        a = antecedent.mask
+        self.falsification_mask = a ^ (a & consequent.mask)
 
     @property
     def signature(self) -> Signature:
@@ -409,10 +413,6 @@ class Conditional:
     @property
     def verification_mask(self) -> int:
         return self.antecedent.mask & self.consequent.mask
-
-    @property
-    def falsification_mask(self) -> int:
-        return self.antecedent.mask & ~self.consequent.mask & self.signature.full_mask
 
     def atoms(self) -> frozenset:
         return self.antecedent.atoms() | self.consequent.atoms()

@@ -23,10 +23,10 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .logic import BeliefBase
-from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
+from .tolerance import InconsistentBeliefBaseError, tolerance_partition
 
 
 _ONE = re.compile("1")
@@ -70,35 +70,35 @@ class PreferredStructure:
     lists the profile classes as (per-layer profile, world mask) pairs. It,
     the world-to-class index, the relation between classes (a descent over
     the layers per class) and the covers (built over the profile trie) are
-    computed on first use. An engine passes the `partition` it has already
-    computed for the base.
+    computed on first use. Every query reads only the layer table that
+    `__init__` builds from the base's tolerance partition.
     """
 
-    def __init__(self, base: BeliefBase, partition: Optional[TolerancePartition] = None):
+    def __init__(self, base: BeliefBase):
+        partition = tolerance_partition(base)
         if partition is None:
-            partition = tolerance_partition(base)
-            if partition is None:
-                raise InconsistentBeliefBaseError("belief base is inconsistent")
+            raise InconsistentBeliefBaseError("belief base is inconsistent")
         self.base = base
         self.signature = base.signature
         self.partition = partition
-        # Per layer, top first: its falsification masks and their union.
+        # Per layer, top first: its conditional indices (ascending), their
+        # falsification masks and the masks' union.
         self._layers = []
         for layer in reversed(partition.layers):
-            fals = [base[i].falsification_mask for i in sorted(layer)]
+            idx = sorted(layer)
+            fals = [base[i].falsification_mask for i in idx]
             union = 0
             for f in fals:
                 union |= f
-            self._layers.append((fals, union))
+            self._layers.append((idx, fals, union))
 
     @cached_property
     def classes(self) -> list:
-        base = self.base
         classes = [((), self.signature.full_mask)]
-        for layer in self.partition.layers:
+        for idx, masks, _ in reversed(self._layers):
             split = [(prof, 0, m) for prof, m in classes]
-            for i in sorted(layer):
-                fals, bit = base[i].falsification_mask, 1 << i
+            for i, fals in zip(idx, masks):
+                bit = 1 << i
                 nxt = []
                 for prof, xi, m in split:
                     hit = m & fals
@@ -116,12 +116,11 @@ class PreferredStructure:
         the worlds. A class is fixed by the set of conditionals its worlds
         falsify: each conditional's mask, written as a string, gives one
         character of that set per world."""
-        conds = [i for layer in self.partition.layers for i in layer]
         num_worlds = self.signature.num_worlds
-        if not conds:
+        columns = [format(f, f"0{num_worlds}b")[::-1]
+                   for _, fals, _ in self._layers for f in fals]
+        if not columns:
             return array("I", bytes(4 * num_worlds))
-        columns = [format(self.base[i].falsification_mask, f"0{num_worlds}b")[::-1]
-                   for i in conds]
         index = {}
         for c, (_, m) in enumerate(self.classes):
             w = (m & -m).bit_length() - 1  # any world of the class
@@ -135,8 +134,7 @@ class PreferredStructure:
         the class's so far; of these, those falsifying a subset of the class's
         set at the next layer are `sub`, a superset `sup`. A strict subset is
         below, a strict superset above, any other set unrelated."""
-        layers = [list(zip(sorted(layer), fals))
-                  for layer, (fals, _) in zip(reversed(self.partition.layers), self._layers)]
+        layers = [list(zip(idx, fals)) for idx, fals, _ in self._layers]
         down, up = [], []
         for prof, _ in self.classes:
             same, below, above = self.signature.full_mask, 0, 0
@@ -167,7 +165,7 @@ class PreferredStructure:
         # A trie node, built from the lowest layer up: (a profile of its classes,
         # the worlds of its classes minimal in it, its classes maximal in it).
         nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(self.classes)]
-        for j in range(len(self.partition.layers)):
+        for j in range(len(self._layers)):
             groups = {}  # the children of each node of the next layer up
             for node in nodes:
                 groups.setdefault(node[0][j + 1:], []).append(node)
@@ -218,7 +216,7 @@ class PreferredStructure:
             if j == depth:
                 low |= m
                 continue
-            fals, union = self._layers[j]
+            _, fals, union = self._layers[j]
             clean = m & ~union
             if clean:
                 stack.append((j + 1, clean))
@@ -255,7 +253,7 @@ class PreferredStructure:
         none). Keeps, from the top layer down, the worlds that avoid each
         layer's union, and stops at the first layer that none of them avoid."""
         m = mask & self.signature.full_mask
-        for _, union in self._layers:
+        for _, _, union in self._layers:
             clean = m & ~union
             if not clean:
                 break

@@ -199,7 +199,7 @@ class ReferenceEngine:
         partition = tolerance_partition(base)
         assert partition is not None
         if self.mode == "w":
-            self._ps = PreferredStructure(base, partition=partition)
+            self._ps = PreferredStructure(base)
         elif self.mode == "z":
             # The mask of worlds per rank, where a world's rank is 1 + the
             # highest layer in which it falsifies a conditional (0 if none).

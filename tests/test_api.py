@@ -53,6 +53,7 @@ REMOVED_METHODS = (
 REMOVED_PARAMETERS = (
     (splitting.check_ind, "conjoined_consequent"),
     (preferred.PreferredStructure, "indices"),
+    (preferred.PreferredStructure, "partition"),
     (splitting.check_di, "base"),
     (splitting.check_di, "mode"),
     (splitting.check_tv, "num_atoms"),

@@ -22,7 +22,7 @@ from systemw import (
 
 from systemw.cli import load_belief_base
 from systemw.inference import _p_consequence
-from systemw.splitting import PartScope
+from systemw.splitting import PartScope, generate_split_base
 
 from conftest import chain_queries, chain_text
 from oracles import (
@@ -377,6 +377,31 @@ def test_p_stops_once_a_misses_the_remaining_falsifications():
     assert engine.consequence(a) == a
     for b in range(full + 1):
         assert engine.entails_masks(a, b) == reference.entails_masks(a, b)
+
+
+def test_builds_share_the_conditionals_falsification_masks(example1):
+    """Each conditional computes its falsification mask once: the layer
+    table of a W or Z structure and P's mask pairs hold that very int, for
+    a whole base and for the side engines of a splitting."""
+    engines = [Engine(example1, mode) for mode in InferenceMode]
+    spl = generate_split_base(3, 3, 5)[1]
+    engines += [spl.engine(mode, idxs)
+                for idxs in spl.conditional_parts for mode in InferenceMode]
+    for engine in engines:
+        base = engine.base
+        assert len(base) > 0
+        if engine.mode is InferenceMode.P:
+            pairs = engine._compute.args[0]
+            assert len(pairs) == len(base)
+            for c, (_, f) in zip(base, pairs):
+                assert f is c.falsification_mask
+            continue
+        layers = engine.preferred_structure._layers
+        assert sorted(i for idx, _, _ in layers for i in idx) == list(base.indices())
+        for idx, fals, _ in layers:
+            assert len(fals) == len(idx)
+            for i, f in zip(idx, fals):
+                assert f is base[i].falsification_mask
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))

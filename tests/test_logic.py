@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from systemw import logic
+from systemw.splitting import generate_split_base
 from systemw.logic import (
     Conditional,
     Conj,
@@ -27,6 +28,8 @@ from oracles import (
     eval_node,
     node_mask,
     oracle_model_bits,
+    random_consistent_base,
+    random_layered_base,
     random_node,
     reference_parse_formula,
     tree_formula,
@@ -385,9 +388,21 @@ class TestConditional:
         assert self.status(c, world_bits(sig, "")) == (0, 0)
 
     def test_verification_and_falsification_disjoint(self, example1):
-        for c in example1:
-            assert c.verification_mask & c.falsification_mask == 0
-            assert c.verification_mask | c.falsification_mask == c.antecedent.mask
+        # The falsification mask is stored as A ^ (A & B): equal to A & ~B
+        # only while A's mask lies within the full mask.
+        bases = [example1]
+        bases += [random_consistent_base(seed, max_atoms=6, max_conds=5) for seed in range(40)]
+        bases += [random_layered_base(seed, max_atoms=7, max_conds=3, min_layers=2)
+                  for seed in range(20)]
+        bases += [generate_split_base(1 + seed % 3, 1 + seed % 4, seed)[0] for seed in range(20)]
+        for base in bases:
+            full = base.signature.full_mask
+            for c in base:
+                a, b = c.antecedent.mask, c.consequent.mask
+                assert c.falsification_mask == a & ~b & full
+                assert c.verification_mask == a & b
+                assert c.verification_mask & c.falsification_mask == 0
+                assert c.verification_mask | c.falsification_mask == a
 
     def test_parse_and_print(self):
         sig = Signature(["a", "b"])

@@ -226,8 +226,9 @@ class TestLemmas:
             ps = structure(self, indices)
             if indices is None or ps.partition.k < 1:
                 return ps
-            layers = tuple(reversed(ps.partition.layers))
-            return PreferredStructure(ps.base, TolerancePartition(layers))
+            fresh = PreferredStructure(ps.base)
+            fresh.partition = TolerancePartition(tuple(reversed(ps.partition.layers)))
+            return fresh
 
         monkeypatch.setattr(SyntaxSplitting, "structure", reversed_sides)
         assert check_lemma1(detect_splitting(example1)).line() == (
