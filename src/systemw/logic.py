@@ -222,7 +222,8 @@ class Formula:
     """Syntax tree plus its model mask over the signature's worlds. The
     mask comes from whoever built the tree (the parser folds it in as it
     reads), and is trusted: the tree is never walked for it. So are the
-    atoms the tree mentions, when the builder knows them; otherwise they are
+    atoms the tree mentions, when the builder knows them, as
+    `parse_conditional` and `PartScope.formula` do; otherwise they are
     collected from the tree on first use."""
 
     __slots__ = ("signature", "ast", "_mask", "_atoms")
@@ -287,22 +288,22 @@ def parse_formula(text: str, sig: Signature) -> Formula:
     memo = sig._formulas
     parsed = memo.get(text)
     if parsed is None:
-        parsed = _parse(text, sig)
+        parsed = _parse(text, sig, _TOKEN_RE.findall(text))
         if len(memo) >= sig.cache_entries:
             memo.clear()
         memo[text] = parsed
     return Formula(sig, parsed[0], parsed[1])
 
 
-def _parse(text: str, sig: Signature) -> tuple:
-    """(node, mask) of a formula text, not memoized.
+def _parse(text: str, sig: Signature, toks: list) -> tuple:
+    """(node, mask) of a formula text, not memoized. `toks` is the text's
+    `_TOKEN_RE.findall`, which the caller keeps: the parse appends None.
 
     One loop over the tokens. The open disjunction and conjunction of the
     innermost group and its pending '!'s are locals; '(' pushes them and
     ')' pops them. Each subformula's mask is folded in as it closes, so a
     parsed formula is walked once. Literals, and '!' before a literal, come
     from the signature's tables, so their nodes are shared."""
-    toks = _TOKEN_RE.findall(text)
     toks.append(None)  # end of input
     literals, negated, index = sig._literals, sig._negated, sig._index
     full = sig.full_mask
@@ -439,13 +440,16 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
     halves = []
     # The antecedent is parsed first: when both halves have a fault, its
     # fault is the one reported. A file's lines are parsed once each, so the
-    # halves bypass the memo.
+    # halves bypass the memo. A parsed half's atoms are its atom tokens.
     for start, end in ((bar + 1, len(s) - 1), (1, bar)):
+        half = s[start:end]
+        toks = _TOKEN_RE.findall(half)
         try:
-            halves.append(Formula(sig, *_parse(s[start:end], sig)))
+            node, mask = _parse(half, sig, toks)
         except FormulaSyntaxError as e:
             e.position += start  # count from the opening parenthesis
             raise
+        halves.append(Formula(sig, node, mask, frozenset(toks).intersection(sig._index)))
     return Conditional(*halves)
 
 

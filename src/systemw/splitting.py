@@ -90,6 +90,7 @@ class PartScope:
             return Formula(self.sig, Bot(), 0)
         if t == self.full_sub:
             return Formula(self.sig, Top(), self.sig.full_mask)
+        # Terms and mask in one pass: a second one through `lift` slowed fuzz by a tenth.
         mask, terms = 0, []
         while t:
             low = t & -t
@@ -175,25 +176,19 @@ class SyntaxSplitting:
 
 
 def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
-    """Finest syntax splitting: connected components of atom co-occurrence."""
-    sig = base.signature
-    parent = list(range(sig.num_atoms))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Finest syntax splitting: connected components of atom co-occurrence.
+    Each conditional merges the parts its atoms meet; the parts come in the
+    order of their lowest atom, each part's atoms in signature order."""
+    atoms = base.signature.atoms
+    part = {a: frozenset((a,)) for a in atoms}  # atom -> its part so far
     for c in base:
-        positions = sorted(sig.index(a) for a in c.atoms())
-        for p in positions[1:]:
-            parent[find(p)] = find(positions[0])
-
-    roots: dict = {}
-    for i in range(sig.num_atoms):
-        roots.setdefault(find(i), []).append(sig.atoms[i])
-    return SyntaxSplitting(base, roots.values())
+        merged = frozenset().union(*map(part.__getitem__, c.atoms()))
+        for a in merged:
+            part[a] = merged
+    parts: dict = {}  # part -> its atoms in signature order
+    for a in atoms:
+        parts.setdefault(part[a], []).append(a)
+    return SyntaxSplitting(base, parts.values())
 
 
 @dataclass
@@ -230,19 +225,21 @@ SAMPLES = 200
 
 
 def _semantic_values(scope: PartScope, bound: int, rng: random.Random) -> list:
+    """(t, lift(t)) of the semantic formulas t searched over the scope's part:
+    every one within the bound or the sample size, else SAMPLES draws."""
     k = len(scope.atoms)
-    if k <= bound:
-        if k > MAX_EXHAUSTIVE_ATOMS:
-            raise ValueError(
-                f"bound {bound} makes the search over the {k}-atom part "
-                f"{{{','.join(scope.atoms)}}} exhaustive (2^{2 ** k} formulas); "
-                f"exhaustive search is limited to {MAX_EXHAUSTIVE_ATOMS} atoms"
-            )
-        return list(range(scope.full_sub + 1))
+    if MAX_EXHAUSTIVE_ATOMS < k <= bound:
+        raise ValueError(
+            f"bound {bound} makes the search over the {k}-atom part "
+            f"{{{','.join(scope.atoms)}}} exhaustive (2^{2 ** k} formulas); "
+            f"exhaustive search is limited to {MAX_EXHAUSTIVE_ATOMS} atoms"
+        )
     space = scope.full_sub + 1
-    if space <= SAMPLES:
-        return list(range(space))
-    return [rng.randrange(space) for _ in range(SAMPLES)]
+    if k <= bound or space <= SAMPLES:
+        values = range(space)
+    else:
+        values = [rng.randrange(space) for _ in range(SAMPLES)]
+    return [(t, scope.lift(t)) for t in values]
 
 
 def check_rel(
@@ -261,10 +258,8 @@ def check_rel(
             scope = splitting.scope(atoms)
             sub_engine = splitting.engine(mode, idxs)
             values = _semantic_values(scope, bound, rng)
-            for ta in values:
-                a = scope.lift(ta)
-                for tb in values:
-                    b = scope.lift(tb)
+            for ta, a in values:
+                for tb, b in values:
                     got_full = full_engine.entails_masks(a, b)
                     got_sub = sub_engine.entails_masks(a, b)
                     checked += 1
@@ -300,12 +295,9 @@ def check_ind(
             scope_i = splitting.scope(atoms_i)
             scope_j = splitting.scope(atoms_j)
             values_ab = _semantic_values(scope_i, bound, rng)
-            values_d = [(t, scope_j.lift(t))
-                        for t in _semantic_values(scope_j, bound, rng) if t != 0]
-            for ta in values_ab:
-                a = scope_i.lift(ta)
-                for tb in values_ab:
-                    b = scope_i.lift(tb)
+            values_d = [(t, d) for t, d in _semantic_values(scope_j, bound, rng) if t != 0]
+            for ta, a in values_ab:
+                for tb, b in values_ab:
                     plain = engine.entails_masks(a, b)
                     for td, d in values_d:
                         conjoined = engine.entails_masks(a & d, b)

@@ -30,6 +30,7 @@ from systemw.logic import (
     Top,
     UnknownAtomError,
     Var,
+    atoms_of,
 )
 
 
@@ -439,6 +440,40 @@ def oracle_hasse(base: BeliefBase, worlds) -> set:
         above[w].add(w2)
         below[w2].add(w)
     return {(w, w2) for w, w2 in preferred if not above[w] & below[w2]}
+
+
+# --- reference syntax splitting ------------------------------------------------
+
+def components(base: BeliefBase) -> tuple:
+    """(parts, conditional parts) of the finest syntax splitting, from a
+    union-find over atom positions that reads each conditional's atoms off
+    its trees. The parts come in the order of their lowest atom, each in
+    signature order; an atom-free conditional goes to the first part, and a
+    zero-atom signature has one empty part. This is the union-find that
+    `detect_splitting` used before it merged atom sets."""
+    sig = base.signature
+    parent = list(range(sig.num_atoms))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    used = [atoms_of(c.antecedent.ast) | atoms_of(c.consequent.ast) for c in base]
+    for atoms in used:
+        positions = sorted(sig.index(a) for a in atoms)
+        for p in positions[1:]:
+            parent[find(p)] = find(positions[0])
+    roots: dict = {}
+    for i in range(sig.num_atoms):
+        roots.setdefault(find(i), []).append(sig.atoms[i])
+    home = {root: n for n, root in enumerate(roots)}
+    cond_parts = [set() for _ in roots] or [set()]
+    for i, atoms in enumerate(used):
+        cond_parts[home[find(sig.index(min(atoms)))] if atoms else 0].add(i)
+    parts = tuple(map(tuple, roots.values())) or ((),)
+    return parts, tuple(map(frozenset, cond_parts))
 
 
 # --- reference parser -----------------------------------------------------------

@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from systemw import cli
+from systemw import cli, logic
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
 from systemw.inference import Engine
 from systemw.logic import FormulaSyntaxError, parse_conditional
 from systemw.preferred import PreferredStructure
-from systemw.splitting import PartScope, check_di, check_rel
+from systemw.splitting import PartScope, check_di, check_rel, detect_splitting
 
 from conftest import chain_text
 from oracles import transitive_closure
@@ -374,6 +374,27 @@ class TestPostulates:
         code, out, err = run(capsys, "postulates", example1_file, "--checks", "di,tv")
         assert (code, err) == (0, "")
         assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
+
+    def test_loading_and_splitting_never_walk_a_tree(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # A loaded conditional knows its atoms from the parse, so neither
+        # detection nor the checks' witnesses collect them from a tree.
+        def refuse(node):
+            raise AssertionError("atoms_of called")
+
+        monkeypatch.setattr(logic, "atoms_of", refuse)
+        path = tmp_path / "three.cb"
+        path.write_text("signature: a, x, b, y, c\n"
+                        "(b|a)\n(!(y;!x)|x,x)\n(c|c)\n(top|top)\n(!x|y)\n")
+        with open(path) as fh:
+            spl = detect_splitting(load_belief_base(fh.read()))
+        assert spl.parts == (("a", "b"), ("x", "y"), ("c",))
+        assert run(capsys, "split", str(path)) == (
+            0, "{a,b}: (b|a), (top|top)\n{x,y}: (!(y;!x)|x,x), (!x|y)\n{c}: (c|c)\n", "")
+        for mode in ("w", "z"):
+            code, out, err = run(capsys, "postulates", str(path), "--mode", mode,
+                                 "--checks", "rel,ind")
+            assert code in (0, 2) and out.startswith("rel: ") and err == ""
 
     def test_repeated_check_names_run_once(self, capsys, example1_file,
                                            monkeypatch):

@@ -18,6 +18,7 @@ from systemw.logic import (
     UnknownAtomError,
     Var,
     _node_text,
+    atoms_of,
     parse_conditional,
     parse_formula,
 )
@@ -242,6 +243,21 @@ def test_parsed_mask_matches_tree_walk(sig_text):
     assert f.mask == sum(1 << w for w, asg in all_assignments(sig) if eval_node(f.ast, asg))
     g = parse_formula(str(f), sig)
     assert (str(g), g.mask) == (str(f), f.mask)
+
+
+@given(formula_text(), formula_text())
+@example((Signature(["a", "b1"]), "!!(a;a),top"), (Signature(["a"]), "bot;!(a,(a))"))
+@example((Signature(["a"]), "top"), (Signature(["a"]), "!bot"))
+@settings(max_examples=300, deadline=None)
+def test_conditional_halves_carry_the_atoms_of_their_trees(first, second):
+    """`parse_conditional` gives each half the atoms of its tree, read off
+    the tokens, so the tree is never walked for them."""
+    sig = max(first[0], second[0], key=lambda s: s.num_atoms)  # both are prefixes
+    c = parse_conditional(f"({first[1]}|{second[1]})", sig)
+    for half in (c.consequent, c.antecedent):
+        assert half._atoms is not None
+        assert half.atoms() == atoms_of(half.ast)
+        assert type(half.atoms()) is frozenset
 
 
 def parse_outcome(parse, text, sig):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from systemw import (
     parse_formula,
     tolerance_partition,
 )
+from systemw import splitting
 from systemw.logic import atoms_of
 from systemw.preferred import PreferredStructure
 from systemw.splitting import (
@@ -31,7 +34,7 @@ from systemw.splitting import (
 )
 from systemw.tolerance import TolerancePartition
 
-from oracles import conjoin, node_mask
+from oracles import components, conjoin, node_mask, random_base
 
 
 def cond_strs(base, idxs):
@@ -78,6 +81,25 @@ class TestDetectSplitting:
         assert spl.parts == ((),)
         assert spl.conditional_parts == (frozenset(base.indices()),)
         assert spl.views == ()
+        assert (spl.parts, spl.conditional_parts) == components(base)
+
+    @pytest.mark.parametrize("atoms, texts", [
+        (("a", "b", "c"), ("(top|top)", "(b|a)")),
+        (("a",), ("(top|top)", "(bot|!top)")),
+        (("a", "x", "b", "y", "c"), ("(b|a)", "(y|x)", "(top|top)")),
+        (("a", "b", "c", "d"), ("(d|d)",)),
+        (("a", "b", "c", "d"), ("(b|d)", "(a|c)", "(c|b)")),
+    ], ids=["atom-free", "only-atom-free", "unused-atom", "unused-atoms", "chained"])
+    def test_edge_bases_match_the_union_find(self, atoms, texts):
+        base = base_of(atoms, *texts)
+        spl = detect_splitting(base)
+        assert (spl.parts, spl.conditional_parts) == components(base)
+
+    def test_random_bases_match_the_union_find(self):
+        for seed in range(2000):
+            base = random_base(seed, 8, 1 + seed % 5)
+            spl = detect_splitting(base)
+            assert (spl.parts, spl.conditional_parts) == components(base), seed
 
 
 class TestConstruction:
@@ -157,6 +179,28 @@ class TestPartScope:
         assert scope.lift(scope.full_sub) == sig.full_mask
         with pytest.raises(ValueError, match=f"limit of {MAX_SCOPE_BITS}"):
             PartScope(sig, sig.atoms[:fits + 1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rel_and_ind_lift_each_drawn_value_once(seed, monkeypatch):
+    # 3-atom parts are sampled at the default bound: a few draws per side
+    # keep the runs short. Each draw is lifted once, as it is drawn, and
+    # never again in the loops over pairs.
+    monkeypatch.setattr(splitting, "SAMPLES", 6)
+    lifted = []
+    lift = PartScope.lift
+
+    def counted(self, t):
+        lifted.append(t)
+        return lift(self, t)
+
+    monkeypatch.setattr(PartScope, "lift", counted)
+    _, spl = generate_split_base(3, 3, seed)
+    for check, sides in ((check_rel, 2), (check_ind, 4)):
+        lifted.clear()
+        assert check(spl, InferenceMode.W).passed
+        rng = random.Random(0)
+        assert lifted == [rng.randrange(256) for _ in range(6 * sides)]
 
 
 class TestPostulatesOnExample1:
