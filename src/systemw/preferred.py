@@ -11,11 +11,11 @@ needs only each layer's falsification masks; so are its worlds of the lowest
 system Z rank, which needs only each layer's union. The relation itself is
 kept per profile class, a (profile, world mask) pair; the class list and the
 index of every world's class are built on first use, by the profile and
-relation queries only. Each class's worlds below and above it come from a
-descent over the same falsification masks, one per class. Only the Hasse
-covers are read off the trie of the profiles, top layer first: two classes
-are related only at the layer where their profiles first differ, so only the
-children of one trie node are ever compared.
+relation queries only. The classes are listed so that each comes after every
+class below it. One descent per class over the layers gives the worlds below
+and above it; the same descent run over classes instead of worlds gives the
+classes above it, and so its Hasse covers: the lowest class above it, then
+the lowest one not above that, and so on.
 """
 
 from __future__ import annotations
@@ -32,30 +32,6 @@ from .tolerance import InconsistentBeliefBaseError, tolerance_partition
 _ONE = re.compile("1")
 
 
-def _lower_covers(keys: list) -> list:
-    """Per set of `keys` (distinct bitmasks, sorted by size), the indices of
-    the sets it covers: its strict subsets with no set of `keys` strictly
-    between. A strict subset is smaller, and among the subsets of one set,
-    the larger ones are tried first, so each is a cover unless it lies within
-    a cover already found."""
-    covers = []
-    start = 0  # the first set of the current size
-    for p, x in enumerate(keys):
-        if keys[start].bit_count() < x.bit_count():
-            start = p
-        out = ~x
-        mine = []
-        for q in reversed([q for q in range(start) if not keys[q] & out]):
-            y = keys[q]
-            for r in mine:
-                if not y & ~keys[r]:
-                    break
-            else:
-                mine.append(q)
-        covers.append(mine)
-    return covers
-
-
 def _bits(mask: int) -> list:
     """Positions of the set bits of `mask`, ascending. One scan of the binary
     string: stripping the lowest bit repeatedly would copy a 2^n-bit mask
@@ -63,15 +39,44 @@ def _bits(mask: int) -> list:
     return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
+def _descent(profiles: list, layers: list, full: int) -> tuple:
+    """Per profile, the members strictly below it and strictly above it.
+    `layers` lists, top layer first, (conditional index, members that falsify
+    it) pairs, and `full` is every member. From the top layer down, `same`
+    keeps the members whose falsified sets equal the profile's so far; of
+    these, those falsifying a subset of the profile's set at the next layer
+    are `sub`, a superset `sup`. A strict subset is below, a strict superset
+    above, any other set unrelated."""
+    down, up = [], []
+    for prof in profiles:
+        same, below, above = full, 0, 0
+        for x, layer in zip(reversed(prof), layers):
+            outside, sup = 0, same
+            for i, f in layer:
+                if x >> i & 1:
+                    sup &= f
+                else:
+                    outside |= f
+            sub = same & ~outside
+            same = sub & sup
+            below |= sub ^ same
+            above |= sup ^ same
+        down.append(below)
+        up.append(above)
+    return down, up
+
+
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
     `minimal` and `lowest_rank` descend the tolerance layers. `classes`
-    lists the profile classes as (per-layer profile, world mask) pairs. It,
-    the world-to-class index, the relation between classes (a descent over
-    the layers per class) and the covers (built over the profile trie) are
-    computed on first use. Every query reads only the layer table that
-    `__init__` builds from the base's tolerance partition.
+    lists the profile classes as (per-layer profile, world mask) pairs, in
+    lexicographic order of their falsified sets, top layer first: a class
+    comes after every class below it. It, the world-to-class index, the
+    relation between classes and the covers (one descent over the layers per
+    class, over worlds and over classes) are computed on first use. Every
+    query reads only the layer table that `__init__` builds from the base's
+    tolerance partition.
     """
 
     def __init__(self, base: BeliefBase):
@@ -94,20 +99,24 @@ class PreferredStructure:
 
     @cached_property
     def classes(self) -> list:
+        """Split the worlds by each conditional in turn, top layer first,
+        those that avoid it before those that falsify it. A class below
+        another avoids a conditional the other falsifies at the first one
+        where they differ, so it comes first."""
         classes = [((), self.signature.full_mask)]
-        for idx, masks, _ in reversed(self._layers):
+        for idx, masks, _ in self._layers:
             split = [(prof, 0, m) for prof, m in classes]
             for i, fals in zip(idx, masks):
                 bit = 1 << i
                 nxt = []
                 for prof, xi, m in split:
                     hit = m & fals
-                    if hit:
-                        nxt.append((prof, xi | bit, hit))
                     if hit != m:
                         nxt.append((prof, xi, m ^ hit))
+                    if hit:
+                        nxt.append((prof, xi | bit, hit))
                 split = nxt
-            classes = [(prof + (xi,), m) for prof, xi, m in split]
+            classes = [((xi,) + prof, m) for prof, xi, m in split]
         return classes
 
     @cached_property
@@ -129,68 +138,39 @@ class PreferredStructure:
 
     @cached_property
     def _relation(self) -> tuple:
-        """Per class, the worlds strictly below it and strictly above it. From
-        the top layer down, `same` keeps the worlds whose falsified sets equal
-        the class's so far; of these, those falsifying a subset of the class's
-        set at the next layer are `sub`, a superset `sup`. A strict subset is
-        below, a strict superset above, any other set unrelated."""
+        """Per class, the worlds strictly below it and strictly above it."""
         layers = [list(zip(idx, fals)) for idx, fals, _ in self._layers]
-        down, up = [], []
-        for prof, _ in self.classes:
-            same, below, above = self.signature.full_mask, 0, 0
-            for x, layer in zip(reversed(prof), layers):
-                outside, sup = 0, same
-                for i, f in layer:
-                    if x >> i & 1:
-                        sup &= f
-                    else:
-                        outside |= f
-                sub = same & ~outside
-                same = sub & sup
-                below |= sub ^ same
-                above |= sup ^ same
-            down.append(below)
-            up.append(above)
-        return down, up
+        return _descent([prof for prof, _ in self.classes], layers,
+                        self.signature.full_mask)
 
     @cached_property
     def _covers(self) -> list:
-        """Per class, the worlds above it with none strictly between. Classes
-        are related only at the highest layer where their profiles differ, so
-        they form a trie keyed by their falsified sets, top layer first. A
-        class maximal in its subtree is covered by the classes minimal in each
-        sibling subtree whose set covers its own among the siblings: a class
-        between them would sit in one of the two or in a sibling between."""
-        cover_w = [0] * len(self.classes)
-        # A trie node, built from the lowest layer up: (a profile of its classes,
-        # the worlds of its classes minimal in it, its classes maximal in it).
-        nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(self.classes)]
-        for j in range(len(self._layers)):
-            groups = {}  # the children of each node of the next layer up
-            for node in nodes:
-                groups.setdefault(node[0][j + 1:], []).append(node)
-            nodes = []
-            for kids in groups.values():
-                if len(kids) == 1:
-                    nodes.append(kids[0])
-                    continue
-                kids.sort(key=lambda kid: kid[0][j].bit_count())
-                profs, least, most = zip(*kids)
-                covered = _lower_covers([prof[j] for prof in profs])
-                cover = [0] * len(kids)  # minimal worlds of the covering siblings
-                for p, lower in enumerate(covered):
-                    for q in lower:
-                        cover[q] |= least[p]
-                node_least, node_most = 0, []
-                for p, lower in enumerate(covered):
-                    if not lower:  # no sibling below it
-                        node_least |= least[p]
-                    if cover[p]:
-                        for c in most[p]:
-                            cover_w[c] |= cover[p]
-                    else:
-                        node_most += most[p]
-                nodes.append((profs[0], node_least, node_most))
+        """Per class, the worlds above it with none strictly between. The
+        descent over classes gives the classes above each one. The lowest of
+        them is a cover, since a class between would come before it; so is
+        the lowest of those left once it and the classes above it are
+        dropped, and so on, one step per cover."""
+        classes = self.classes
+        members = [0] * len(self.base)  # per conditional, its classes
+        for c, (prof, _) in enumerate(classes):
+            bit = 1 << c
+            for x in prof:
+                while x:
+                    low = x & -x
+                    members[low.bit_length() - 1] |= bit
+                    x ^= low
+        layers = [[(i, members[i]) for i in idx] for idx, _, _ in self._layers]
+        _, up = _descent([prof for prof, _ in classes], layers,
+                         (1 << len(classes)) - 1)
+        cover_w = []
+        for above in up:
+            cover = 0
+            while above:
+                low = above & -above
+                d = low.bit_length() - 1
+                cover |= classes[d][1]
+                above &= ~(low | up[d])
+            cover_w.append(cover)
         return cover_w
 
     # --- queries -------------------------------------------------------------

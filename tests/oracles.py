@@ -4,8 +4,9 @@ The oracles evaluate formulas by recursive AST walks over explicit truth
 assignments. Nothing in them touches the package's model-mask machinery, so
 they serve as oracles for it. The rest are references of another kind: code
 that a faster version in the package replaced, kept as it was (the tree walk
-of formula masks, the pairwise class relation, the per-mode query code, the
-recursive descent parser), and readers of the order exports.
+of formula masks, the pairwise class relation, the trie walk of the Hasse
+covers, the per-mode query code, the recursive descent parser), and readers
+of the order exports.
 """
 
 from __future__ import annotations
@@ -419,6 +420,74 @@ def reference_relation(ps) -> tuple:
             if up[d] & down[c] == 0:
                 cover_w[d] |= classes[c][1]
     return down_w, up_w, cover_w
+
+
+def _lower_covers(keys: list) -> list:
+    """Per set of `keys` (distinct bitmasks, sorted by size), the indices of
+    the sets it covers: its strict subsets with no set of `keys` strictly
+    between. A strict subset is smaller, and among the subsets of one set,
+    the larger ones are tried first, so each is a cover unless it lies within
+    a cover already found."""
+    covers = []
+    start = 0  # the first set of the current size
+    for p, x in enumerate(keys):
+        if keys[start].bit_count() < x.bit_count():
+            start = p
+        out = ~x
+        mine = []
+        for q in reversed([q for q in range(start) if not keys[q] & out]):
+            y = keys[q]
+            for r in mine:
+                if not y & ~keys[r]:
+                    break
+            else:
+                mine.append(q)
+        covers.append(mine)
+    return covers
+
+
+def trie_covers(ps) -> list:
+    """The Hasse covers of a `PreferredStructure`'s classes, per class the
+    worlds above it with none strictly between, read off the trie of the
+    profiles, top layer first; the package computed them this way before
+    the descent over classes. Two classes are related only at the highest
+    layer where their profiles differ, so only the children of one trie node
+    are compared. A class maximal in its subtree is covered by the classes
+    minimal in each sibling subtree whose set covers its own among the
+    siblings: a class between them would sit in one of the two or in a
+    sibling between. It scales to bases where `reference_relation`'s
+    comparison of every pair of classes does not."""
+    cover_w = [0] * len(ps.classes)
+    # A trie node, built from the lowest layer up: (a profile of its classes,
+    # the worlds of its classes minimal in it, its classes maximal in it).
+    nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(ps.classes)]
+    for j in range(len(ps.partition.layers)):
+        groups = {}  # the children of each node of the next layer up
+        for node in nodes:
+            groups.setdefault(node[0][j + 1:], []).append(node)
+        nodes = []
+        for kids in groups.values():
+            if len(kids) == 1:
+                nodes.append(kids[0])
+                continue
+            kids.sort(key=lambda kid: kid[0][j].bit_count())
+            profs, least, most = zip(*kids)
+            covered = _lower_covers([prof[j] for prof in profs])
+            cover = [0] * len(kids)  # minimal worlds of the covering siblings
+            for p, lower in enumerate(covered):
+                for q in lower:
+                    cover[q] |= least[p]
+            node_least, node_most = 0, []
+            for p, lower in enumerate(covered):
+                if not lower:  # no sibling below it
+                    node_least |= least[p]
+                if cover[p]:
+                    for c in most[p]:
+                        cover_w[c] |= cover[p]
+                else:
+                    node_most += most[p]
+            nodes.append((profs[0], node_least, node_most))
+    return cover_w
 
 
 def reference_class_id(ps) -> list:

@@ -29,6 +29,7 @@ REMOVED_FUNCTIONS = (
     "two_part_views",
     "_split_structures",
     "_partition_pairs",
+    "_lower_covers",
 )
 REMOVED_METHODS = (
     (logic.Conditional, "evaluate"),

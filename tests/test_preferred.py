@@ -26,6 +26,7 @@ from oracles import (
     reference_relation,
     set_bits,
     transitive_closure,
+    trie_covers,
 )
 
 
@@ -260,6 +261,41 @@ def test_dot_edges_match_oracle(seed, vars_per_part):
         edges = export_edges(PreferredStructure(base))
         assert len(edges) == len(set(edges))
         assert set(edges) == oracle_hasse(base, worlds)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_classes_come_after_the_classes_below(seed, vars_per_part):
+    """Every world below a class's worlds lies in a class listed before it,
+    on bases of two or more layers and on generated split bases: the class
+    list is a linear extension of the order, which the covers rely on."""
+    bases = [random_layered_base(seed, max_atoms=7, max_conds=4, min_layers=2),
+             generate_split_base(vars_per_part, 3, seed)[0]]
+    for base in bases:
+        ps = PreferredStructure(base)
+        class_id = ps._class_id
+        for c, (_, m) in enumerate(ps.classes):
+            w = (m & -m).bit_length() - 1  # any world of the class
+            assert all(class_id[w2] < c for w2 in set_bits(ps.below(w)))
+
+
+TRIE_BASES = (
+    [pytest.param(chain_text(n), id=f"chain{n}") for n in (13, 14)]
+    + [pytest.param(s, id=f"split6x6-{s}") for s in range(6)]
+)
+
+
+@pytest.mark.parametrize("spec", TRIE_BASES)
+def test_covers_match_trie(spec):
+    """The covers from the descent over classes equal the trie walk's, on
+    bases too large for the comparison of every pair of classes; four of the
+    split bases have one layer, where the trie compares the most siblings."""
+    if isinstance(spec, str):
+        base = load_belief_base(spec)
+    else:
+        base = generate_split_base(6, 6, spec)[0]
+    ps = PreferredStructure(base)
+    assert ps._covers == trie_covers(ps)
 
 
 REFERENCE_BASES = (
