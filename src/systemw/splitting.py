@@ -29,7 +29,7 @@ from .logic import (
     Var,
 )
 from .preferred import PreferredStructure
-from .tolerance import TolerancePartition, tolerance_partition
+from .tolerance import tolerance_partition
 
 
 class GenerationError(RuntimeError):
@@ -358,31 +358,25 @@ def check_di(engine: Engine) -> PostulateReport:
     )
 
 
-TV_ATOMS = 3  # (TV) is checked on all 65,536 formula pairs over 3 atoms
+TV_ATOMS = 3  # (TV) decides all 65,536 formula pairs over 3 atoms
 
 
 def check_tv(mode: InferenceMode) -> PostulateReport:
-    """On the empty base, inference must coincide with classical entailment;
-    exhaustive over all semantic formula pairs of a fresh signature."""
+    """On the empty base, inference must coincide with classical entailment
+    on all formula pairs over a fresh signature, which `pairs=` counts. As
+    A |~ B iff C(A) ⊆ B, one C(A) = A per formula A decides all its pairs."""
     sig = Signature(string.ascii_lowercase[:TV_ATOMS])
-    base = BeliefBase(sig, ())
-    engine = Engine(base, mode)
-    full = sig.full_mask
-    space = full + 1
+    engine = Engine(BeliefBase(sig, ()), mode)
+    space = sig.full_mask + 1
+    bounds = f"mode={mode.value} atoms={TV_ATOMS}"
     for a in range(space):
-        for b in range(space):
-            expected = a & ~b & full == 0
-            if engine.entails_masks(a, b) != expected:
-                scope = PartScope(sig, sig.atoms)
-                return PostulateReport(
-                    "tv", False,
-                    witness={"A": str(scope.formula(a)), "B": str(scope.formula(b))},
-                    search_bounds=f"mode={mode.value} atoms={TV_ATOMS} exhaustive",
-                )
-    return PostulateReport(
-        "tv", True,
-        search_bounds=f"mode={mode.value} atoms={TV_ATOMS} pairs={space * space}",
-    )
+        c = engine.consequence(a)
+        if c != a:  # B = A or B = C(A) tells them apart
+            b = next(b for b in range(space) if (c & ~b == 0) != (a & ~b == 0))
+            scope = PartScope(sig, sig.atoms)
+            witness = {"A": str(scope.formula(a)), "B": str(scope.formula(b))}
+            return PostulateReport("tv", False, witness, f"{bounds} exhaustive")
+    return PostulateReport("tv", True, search_bounds=f"{bounds} pairs={space * space}")
 
 
 # --- order lemmas for split bases --------------------------------------------
@@ -391,45 +385,32 @@ def check_tv(mode: InferenceMode) -> PostulateReport:
 def check_lemma1(splitting: SyntaxSplitting) -> PostulateReport:
     """The tolerance partition of a split base restricts to the sub-bases'
     partitions layer by layer, and the layer counts and tails line up."""
-    op = splitting.structure().partition
-    k = op.k
+    full = splitting.structure().partition.layers
+    bounds = "partition comparison"
     for view in splitting.views:
-        subs = []
-        for _, idxs in view:  # layers of sub-base positions, as base indices
+        sides = []  # each side's layers of sub-base positions, as base indices
+        for _, idxs in view:
             order = sorted(idxs)
-            subs.append(TolerancePartition(tuple(
-                frozenset(order[p] for p in layer)
-                for layer in splitting.structure(idxs).partition.layers)))
-        for (_, idxs), sub in zip(view, subs):
-            for j in range(sub.k + 1):
-                expected = op.layers[j] & idxs if j <= k else frozenset()
-                if sub.layers[j] != expected:
-                    return PostulateReport(
-                        "lemma1", False,
-                        witness={"claim": 1, "layer": j,
-                                 "sub": sorted(sub.layers[j]),
-                                 "expected": sorted(expected)},
-                        search_bounds="partition comparison",
-                    )
-        l1, l2 = subs[0].k, subs[1].k
-        if max(l1, l2) != k:
-            return PostulateReport(
-                "lemma1", False,
-                witness={"claim": 2, "l1": l1, "l2": l2, "k": k},
-                search_bounds="partition comparison",
-            )
-        lo, hi = (subs[0], subs[1]) if l1 <= l2 else (subs[1], subs[0])
-        for j in range(k + 1):
-            low_layer = lo.layers[j] if j <= lo.k else frozenset()
-            if op.layers[j] != low_layer | hi.layers[j]:
-                return PostulateReport(
-                    "lemma1", False,
-                    witness={"claim": 3, "layer": j,
-                             "full": sorted(op.layers[j]),
-                             "union": sorted(low_layer | hi.layers[j])},
-                    search_bounds="partition comparison",
-                )
-    return PostulateReport("lemma1", True, search_bounds="partition comparison")
+            sides.append([frozenset(order[p] for p in layer)
+                          for layer in splitting.structure(idxs).partition.layers])
+        for (_, idxs), layers in zip(view, sides):
+            for j, layer in enumerate(layers):
+                expected = full[j] & idxs if j < len(full) else frozenset()
+                if layer != expected:
+                    return PostulateReport("lemma1", False, {
+                        "claim": 1, "layer": j, "sub": sorted(layer),
+                        "expected": sorted(expected)}, bounds)
+        l1, l2 = (len(layers) - 1 for layers in sides)
+        if max(l1, l2) != len(full) - 1:
+            return PostulateReport("lemma1", False, {
+                "claim": 2, "l1": l1, "l2": l2, "k": len(full) - 1}, bounds)
+        for j, layer in enumerate(full):  # a side with fewer layers adds nothing
+            union = frozenset().union(*(layers[j] for layers in sides if j < len(layers)))
+            if layer != union:
+                return PostulateReport("lemma1", False, {
+                    "claim": 3, "layer": j, "full": sorted(layer),
+                    "union": sorted(union)}, bounds)
+    return PostulateReport("lemma1", True, search_bounds=bounds)
 
 
 def _world_pair_witness(sig: Signature, viol: int, w2: int) -> dict:

@@ -14,14 +14,11 @@ class InconsistentBeliefBaseError(ValueError):
 
 @dataclass(frozen=True)
 class TolerancePartition:
-    """Ordered layers (0-based) of conditional indices; unique per belief base."""
+    """Ordered layers (0-based) of conditional indices; unique per belief base.
+    Its highest layer index, k in the paper's lemma 1, is `len(layers) - 1`:
+    -1 for the empty partition."""
 
     layers: tuple
-
-    @property
-    def k(self) -> int:
-        """Highest layer index; -1 for the empty partition."""
-        return len(self.layers) - 1
 
 
 def tolerance_partition(base: BeliefBase) -> Optional[TolerancePartition]:

@@ -5,14 +5,16 @@ assignments. Nothing in them touches the package's model-mask machinery, so
 they serve as oracles for it. The rest are references of another kind: code
 that a faster version in the package replaced, kept as it was (the tree walk
 of formula masks, the pairwise class relation, the trie walk of the Hasse
-covers, the per-mode query code, the recursive descent parser), and readers
-of the order exports.
+covers, the per-mode query code, the (TV) loop over formula pairs, lemma 1's
+partition rebuild, the recursive descent parser), and readers of the order
+exports.
 """
 
 from __future__ import annotations
 
 import random
 import re
+import string
 from functools import reduce
 
 from systemw.logic import (
@@ -543,6 +545,83 @@ def components(base: BeliefBase) -> tuple:
         cond_parts[home[find(sig.index(min(atoms)))] if atoms else 0].add(i)
     parts = tuple(map(tuple, roots.values())) or ((),)
     return parts, tuple(map(frozenset, cond_parts))
+
+
+# --- reference postulate checks -------------------------------------------------
+
+def reference_check_tv(mode):
+    """(TV) by asking every formula pair over 3 atoms, A |~ B against
+    A ⊆ B: the double loop that `check_tv` replaced, kept as it was."""
+    from systemw.inference import Engine
+    from systemw.splitting import TV_ATOMS, PartScope, PostulateReport
+
+    sig = Signature(string.ascii_lowercase[:TV_ATOMS])
+    base = BeliefBase(sig, ())
+    engine = Engine(base, mode)
+    full = sig.full_mask
+    space = full + 1
+    for a in range(space):
+        for b in range(space):
+            expected = a & ~b & full == 0
+            if engine.entails_masks(a, b) != expected:
+                scope = PartScope(sig, sig.atoms)
+                return PostulateReport(
+                    "tv", False,
+                    witness={"A": str(scope.formula(a)), "B": str(scope.formula(b))},
+                    search_bounds=f"mode={mode.value} atoms={TV_ATOMS} exhaustive",
+                )
+    return PostulateReport(
+        "tv", True,
+        search_bounds=f"mode={mode.value} atoms={TV_ATOMS} pairs={space * space}",
+    )
+
+
+def reference_check_lemma1(splitting):
+    """Lemma 1's three claims as `check_lemma1` checked them before it read
+    plain layer lists: each side's layers rebuilt as a `TolerancePartition`
+    of base indices, and claim 3 read from the sides sorted by length."""
+    from systemw.splitting import PostulateReport
+    from systemw.tolerance import TolerancePartition
+
+    op = splitting.structure().partition
+    k = len(op.layers) - 1
+    for view in splitting.views:
+        subs = []
+        for _, idxs in view:  # layers of sub-base positions, as base indices
+            order = sorted(idxs)
+            subs.append(TolerancePartition(tuple(
+                frozenset(order[p] for p in layer)
+                for layer in splitting.structure(idxs).partition.layers)))
+        for (_, idxs), sub in zip(view, subs):
+            for j in range(len(sub.layers)):
+                expected = op.layers[j] & idxs if j <= k else frozenset()
+                if sub.layers[j] != expected:
+                    return PostulateReport(
+                        "lemma1", False,
+                        witness={"claim": 1, "layer": j,
+                                 "sub": sorted(sub.layers[j]),
+                                 "expected": sorted(expected)},
+                        search_bounds="partition comparison",
+                    )
+        l1, l2 = len(subs[0].layers) - 1, len(subs[1].layers) - 1
+        if max(l1, l2) != k:
+            return PostulateReport(
+                "lemma1", False,
+                witness={"claim": 2, "l1": l1, "l2": l2, "k": k},
+                search_bounds="partition comparison",
+            )
+        lo, hi = (subs[0], subs[1]) if l1 <= l2 else (subs[1], subs[0])
+        for j in range(k + 1):
+            low_layer = lo.layers[j] if j <= len(lo.layers) - 1 else frozenset()
+            if op.layers[j] != low_layer | hi.layers[j]:
+                return PostulateReport(
+                    "lemma1", False,
+                    witness={"claim": 3, "layer": j,
+                             "full": sorted(op.layers[j]),
+                             "union": sorted(low_layer | hi.layers[j])},
+                    search_bounds="partition comparison",
+                )
+    return PostulateReport("lemma1", True, search_bounds="partition comparison")
 
 
 # --- reference parser -----------------------------------------------------------

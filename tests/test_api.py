@@ -49,6 +49,7 @@ REMOVED_METHODS = (
     (splitting.SyntaxSplitting, "validate"),
     (tolerance.TolerancePartition, "layer_of"),
     (tolerance.TolerancePartition, "all_indices"),
+    (tolerance.TolerancePartition, "k"),
 )
 # Keyword parameters that were removed: (function, parameter).
 REMOVED_PARAMETERS = (

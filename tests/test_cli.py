@@ -9,14 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from systemw import cli, logic
+from systemw import cli, logic, splitting
 from systemw.cli import load_belief_base, main, BeliefBaseFormatError
-from systemw.inference import Engine
-from systemw.logic import FormulaSyntaxError, parse_conditional
+from systemw.inference import Engine, InferenceMode
+from systemw.logic import (
+    BeliefBase,
+    FormulaSyntaxError,
+    Signature,
+    SignatureError,
+    parse_conditional,
+)
 from systemw.preferred import PreferredStructure
 from systemw.splitting import PartScope, check_di, check_rel, detect_splitting
 
-from conftest import chain_text
+from conftest import EXAMPLE1_TEXT, chain_text
 from oracles import transitive_closure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +40,10 @@ class TestLoad:
             base = load_belief_base(fh.read())
         assert base.signature.atoms == ("b", "p", "f", "v", "d")
         assert [str(c) for c in base] == ["(f|b)", "(!v|d)", "(b|p)", "(!f|p)"]
+
+    def test_golden_file_is_example1(self):
+        # The CI steps run the console script on this file.
+        assert (GOLDEN / "example1.cb").read_text() == EXAMPLE1_TEXT
 
     def test_missing_signature(self):
         with pytest.raises(BeliefBaseFormatError):
@@ -653,3 +663,43 @@ class TestRepeatedMain:
         monkeypatch.setattr(cli, "cmd_partition", patched)
         assert run(capsys, "partition", ex1) == (0, f"patched {ex1}\n", "")
         assert len(built) == one_build
+
+
+class TestFaultPaths:
+    """Faults that no other test reaches. Through the CLI each exits 1 with
+    one line on stderr; through the library each raises its error."""
+
+    def test_file_without_a_signature_line(self, capsys, tmp_path):
+        path = tmp_path / "comments.cb"
+        path.write_text("# comments and blank lines only\n\n")
+        assert run(capsys, "check", str(path)) == (
+            1, "", "error: missing signature line\n")
+        with pytest.raises(BeliefBaseFormatError, match="missing signature line"):
+            load_belief_base(path.read_text())
+
+    def test_out_of_memory_in_a_command(self, capsys, monkeypatch, example1_file):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_check", exhausted)
+        assert run(capsys, "check", example1_file) == (1, "", "error: out of memory\n")
+
+    def test_generation_out_of_attempts(self, capsys, monkeypatch):
+        # Every draw is read as inconsistent, so the generator gives up.
+        monkeypatch.setattr(splitting, "tolerance_partition", lambda base: None)
+        message = (f"no consistent base found in {splitting.MAX_GENERATION_ATTEMPTS} "
+                   "attempts (seed=0)")
+        assert run(capsys, "fuzz", "--cases", "1", "--vars", "1", "--conds", "1") == (
+            1, "", f"error: {message}\n")
+        with pytest.raises(splitting.GenerationError, match=re.escape(message)):
+            splitting.generate_split_base(1, 1, 0)
+
+    def test_p_engine_has_no_preferred_structure(self, example1):
+        with pytest.raises(ValueError, match="modes W and Z only"):
+            Engine(example1, InferenceMode.P).preferred_structure
+
+    def test_base_refuses_a_conditional_over_another_signature(self, example1):
+        other = Signature(["b", "p", "f", "v"])
+        with pytest.raises(SignatureError, match="different signature"):
+            BeliefBase(example1.signature,
+                       [example1[0], parse_conditional("(f|b)", other)])

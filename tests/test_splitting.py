@@ -268,7 +268,7 @@ class TestLemmas:
 
         def reversed_sides(self, indices=None):
             ps = structure(self, indices)
-            if indices is None or ps.partition.k < 1:
+            if indices is None or len(ps.partition.layers) - 1 < 1:
                 return ps
             fresh = PreferredStructure(ps.base)
             fresh.partition = TolerancePartition(tuple(reversed(ps.partition.layers)))
@@ -318,6 +318,25 @@ class TestDiTv:
     def test_tv_all_modes(self):
         for mode in InferenceMode:
             assert check_tv(mode).passed
+
+    @pytest.mark.parametrize("mode", list(InferenceMode))
+    def test_tv_asks_each_formula_once(self, monkeypatch, mode):
+        # (TV) is C(A) = A: one consequence per formula over 3 atoms decides
+        # all 65,536 pairs, and no pair is asked as a query.
+        asked = []
+        consequence = Engine.consequence
+
+        def counted(self, a):
+            asked.append(a)
+            return consequence(self, a)
+
+        def refuse(self, a, b):
+            raise AssertionError("entails_masks called")
+
+        monkeypatch.setattr(Engine, "consequence", counted)
+        monkeypatch.setattr(Engine, "entails_masks", refuse)
+        assert check_tv(mode).line() == f"tv: pass [mode={mode.value} atoms=3 pairs=65536]"
+        assert asked == list(range(256))
 
 
 class TestGenerator:

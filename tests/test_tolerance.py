@@ -54,7 +54,7 @@ class TestTolerancePartition:
     def test_empty_base(self):
         base = BeliefBase(Signature(["a"]), ())
         part = tolerance_partition(base)
-        assert part is not None and part.layers == () and part.k == -1
+        assert part is not None and part.layers == () and len(part.layers) - 1 == -1
 
     def test_contradictory_pair_inconsistent(self):
         sig = Signature(["a"])
