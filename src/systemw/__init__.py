@@ -2,7 +2,8 @@
 
 System W inference via the preferred structure on worlds, with system Z and
 p-entailment baselines, tolerance partitions, syntax-splitting detection, and
-executable postulate/lemma verification.
+executable postulate/lemma verification. The splitting names load their
+module on first use.
 """
 
 from .logic import (
@@ -19,22 +20,6 @@ from .logic import (
 from .tolerance import InconsistentBeliefBaseError, TolerancePartition, tolerance_partition
 from .preferred import PreferredStructure
 from .inference import Engine, InferenceMode
-from .splitting import (
-    GenerationError,
-    PostulateReport,
-    SyntaxSplitting,
-    check_di,
-    check_ind,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_lemma4,
-    check_rel,
-    check_synsplit,
-    check_tv,
-    detect_splitting,
-    generate_split_base,
-)
 
 __all__ = [
     "BeliefBase",
@@ -69,3 +54,17 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The names of `__all__` not bound above are those of the `splitting`
+    # module, which is loaded on their first use (PEP 562): most CLI
+    # commands never run it.
+    if name in __all__:
+        from . import splitting
+        return getattr(splitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(globals().keys() | set(__all__))

@@ -7,13 +7,16 @@ the conditional indices used in partitions and reports.
 
 Exit codes: 0 affirmative/pass, 2 negative/fail, 1 fault (parse error,
 inconsistent base where consistency is required, bad flags, out of memory).
+
+Every call of the console script is a fresh process, so a command loads only
+what it runs: `split`, `postulates` and `fuzz` load the `splitting` module
+when they first call into it, and only `postulates --json` loads `json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .inference import Engine, InferenceMode
@@ -26,17 +29,6 @@ from .logic import (
     parse_formula,
 )
 from .preferred import PreferredStructure
-from .splitting import (
-    GenerationError,
-    LEMMA_CHECKS,
-    check_di,
-    check_ind,
-    check_rel,
-    check_synsplit,
-    check_tv,
-    detect_splitting,
-    generate_split_base,
-)
 from .tolerance import InconsistentBeliefBaseError, tolerance_partition
 
 EXIT_YES = 0
@@ -124,10 +116,18 @@ def cmd_infer(args) -> int:
     return EXIT_NO
 
 
+def _splitting():
+    """The `splitting` module, loaded on the first call. Its functions are
+    looked up on it at call time, so a rebound name (a tracing wrapper, say)
+    is the one that runs."""
+    from . import splitting
+    return splitting
+
+
 def cmd_split(args) -> int:
     base = _load_file(args.file)
-    splitting = detect_splitting(base)
-    for part, idxs in zip(splitting.parts, splitting.conditional_parts):
+    split = _splitting().detect_splitting(base)
+    for part, idxs in zip(split.parts, split.conditional_parts):
         conds = ", ".join(str(base[i]) for i in sorted(idxs))
         print(f"{{{','.join(part)}}}: {conds}")
     return EXIT_YES
@@ -145,19 +145,18 @@ def cmd_order(args) -> int:
 
 
 # Check name -> its reports for (base, splitting, mode, bound, seed). Each
-# entry looks its check up by module name when called, so a rebound name
-# (a tracing wrapper, say) is the one that runs. The checks of one splitting
-# share its engines and scopes; di reads the splitting's engine of the whole
-# base when the run has a splitting.
+# entry looks its check up on the `splitting` module when called (see
+# `_splitting`). The checks of one splitting share its engines and scopes; di
+# reads the splitting's engine of the whole base when the run has a splitting.
 CHECKS = {
     "di": lambda base, split, mode, bound, seed: [
-        check_di(split.engine(mode) if split else Engine(base, mode))],
-    "tv": lambda base, split, mode, bound, seed: [check_tv(mode)],
-    "rel": lambda base, *args: [check_rel(*args)],
-    "ind": lambda base, *args: [check_ind(*args)],
-    "synsplit": lambda base, *args: [check_synsplit(*args)],
+        _splitting().check_di(split.engine(mode) if split else Engine(base, mode))],
+    "tv": lambda base, split, mode, bound, seed: [_splitting().check_tv(mode)],
+    "rel": lambda base, *args: [_splitting().check_rel(*args)],
+    "ind": lambda base, *args: [_splitting().check_ind(*args)],
+    "synsplit": lambda base, *args: [_splitting().check_synsplit(*args)],
     "lemmas": lambda base, split, mode, bound, seed: [
-        check(split) for check in LEMMA_CHECKS.values()],
+        check(split) for check in _splitting().LEMMA_CHECKS.values()],
 }
 
 
@@ -176,14 +175,16 @@ def cmd_postulates(args) -> int:
     base = _load_file(args.file)
     mode = InferenceMode(args.mode)
     names = _check_names(args.checks, CHECKS)
-    splitting = None if set(names) <= {"di", "tv"} else detect_splitting(base)
+    split = None if set(names) <= {"di", "tv"} else _splitting().detect_splitting(base)
     reports = []
     for name in names:
-        reports += CHECKS[name](base, splitting, mode, args.bound, args.seed)
-    for r in reports:
-        if args.json:
+        reports += CHECKS[name](base, split, mode, args.bound, args.seed)
+    if args.json:
+        import json
+        for r in reports:
             print(json.dumps(r.to_dict(), sort_keys=True))
-        else:
+    else:
+        for r in reports:
             print(r.line())
     return EXIT_YES if all(r.passed for r in reports) else EXIT_NO
 
@@ -192,12 +193,16 @@ def cmd_fuzz(args) -> int:
     mode = InferenceMode(args.mode)
     # tv does not depend on the base, so fuzz does not offer it.
     names = _check_names(args.checks, CHECKS.keys() - {"tv"})
+    splitting = _splitting()
     failures = 0
     for case in range(args.cases):
         case_seed = args.seed * 1_000_003 + case
-        base, splitting = generate_split_base(args.vars, args.conds, case_seed)
+        try:
+            base, split = splitting.generate_split_base(args.vars, args.conds, case_seed)
+        except splitting.GenerationError as e:  # a fault, reported as `main` reports one
+            raise ValueError(str(e)) from e
         for name in names:
-            for r in CHECKS[name](base, splitting, mode, args.bound, case_seed):
+            for r in CHECKS[name](base, split, mode, args.bound, case_seed):
                 if not r.passed:
                     failures += 1
                     print(f"case={case} seed={case_seed} {r.line()}")
@@ -287,8 +292,9 @@ def main(argv=None) -> int:
         # that runs.
         return globals()[f"cmd_{args.command}"](args)
     # Bad files, formulas, signatures and flags and inconsistent bases all
-    # raise subclasses of ValueError.
-    except (ValueError, GenerationError, OSError) as e:
+    # raise subclasses of ValueError, and `cmd_fuzz` turns a generator out of
+    # attempts into one.
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:

@@ -9,11 +9,13 @@ integer bit arithmetic.
 `parse_formula` reads a formula in one loop over its tokens and folds the
 mask in as it goes. Each signature interns its literals: a token's node and
 mask are built once and shared by every formula parsed over it, which is why
-the syntax tree nodes are frozen. Each signature also memoizes the (node,
-mask) of every formula text parsed over it, so a repeated text costs one
-lookup. The memo holds no `Formula`, which points back at its signature:
-the signature would then sit in a reference cycle that only the cyclic
-garbage collector frees.
+the syntax tree nodes are frozen. They are `Frozen` records: plain
+`__slots__` classes with value semantics, as `TolerancePartition` is, since
+importing `dataclasses` would add 7-12 ms (Python 3.11) to the start-up of
+every CLI command. Each signature also memoizes the (node, mask) of every
+formula text parsed over it, so a repeated text costs one lookup. The memo
+holds no `Formula`, which points back at its signature: the signature would
+then sit in a reference cycle that only the cyclic garbage collector frees.
 
 The memo, and the C(A) cache of every `Engine`, hold at most
 `Signature.cache_entries` entries: CACHE_BYTES over the bytes of two masks
@@ -25,7 +27,6 @@ concurrent queries stay safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 MAX_ATOMS = 24
@@ -146,43 +147,101 @@ class Signature:
         return f"Signature({', '.join(self.atoms)})"
 
 
-# --- formula syntax trees ---------------------------------------------------
+# --- value classes and formula syntax trees ---------------------------------
 
-class Node:
+class Record:
+    """A plain `__slots__` class with value semantics: equal only to an
+    object of its own class with equal fields, and shown as
+    `Class(field=value, ...)`. Its fields are its `__slots__`, in the order
+    its `__init__` takes them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through `__init__`
+        return type(self), self._fields()
+
+
+class Frozen(Record):
+    """A `Record` whose fields are set once, by its `__init__`, and which is
+    hashed by them. Assigning or deleting a field raises
+    `dataclasses.FrozenInstanceError`, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str):
+    # Imported on this error path only (see the module docstring).
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(message)
+
+
+# How a node's `__init__` sets its field, bound once: a frozen dataclass's
+# `__init__` looks `object.__setattr__` up on every call.
+_set = object.__setattr__
+
+
+class Node(Frozen):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Top(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bot(Node):
-    pass
+    __slots__ = ()
 
 
 _TOP, _BOT = Top(), Bot()  # shared by every signature's literal tables
 
 
-@dataclass(frozen=True)
 class Var(Node):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Neg(Node):
-    child: Node
+    __slots__ = ("child",)
+
+    def __init__(self, child: Node):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True)
 class Conj(Node):
-    children: tuple
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _set(self, "children", children)
 
 
-@dataclass(frozen=True)
 class Disj(Node):
-    children: tuple
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _set(self, "children", children)
 
 
 def atoms_of(node: Node) -> frozenset:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .inference import Engine, InferenceMode
@@ -24,6 +23,7 @@ from .logic import (
     Disj,
     Formula,
     Neg,
+    Record,
     Signature,
     Top,
     Var,
@@ -191,12 +191,15 @@ def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
     return SyntaxSplitting(base, parts.values())
 
 
-@dataclass
-class PostulateReport:
-    postulate: str
-    passed: bool
-    witness: Optional[dict] = None
-    search_bounds: str = ""
+class PostulateReport(Record):
+    __slots__ = ("postulate", "passed", "witness", "search_bounds")
+
+    def __init__(self, postulate: str, passed: bool, witness: Optional[dict] = None,
+                 search_bounds: str = ""):
+        self.postulate = postulate
+        self.passed = passed
+        self.witness = witness
+        self.search_bounds = search_bounds
 
     def line(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

@@ -1,24 +1,29 @@
-"""The inclusion-maximal tolerance partition; None marks an inconsistent base."""
+"""The inclusion-maximal tolerance partition; None marks an inconsistent base.
+
+A `TolerancePartition` is a `logic.Frozen` record, so that loading this
+module does not load `dataclasses`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .logic import BeliefBase
+from .logic import BeliefBase, Frozen
 
 
 class InconsistentBeliefBaseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TolerancePartition:
+class TolerancePartition(Frozen):
     """Ordered layers (0-based) of conditional indices; unique per belief base.
     Its highest layer index, k in the paper's lemma 1, is `len(layers) - 1`:
     -1 for the empty partition."""
 
-    layers: tuple
+    __slots__ = ("layers",)
+
+    def __init__(self, layers: tuple):
+        object.__setattr__(self, "layers", layers)
 
 
 def tolerance_partition(base: BeliefBase) -> Optional[TolerancePartition]:

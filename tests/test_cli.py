@@ -236,15 +236,20 @@ sys.exit(main(["order", path, "--format", fmt]))
 """
 
 
-def order_in_child(limit, path, fmt):
-    """`order` on `path` in a child process limited to `limit` bytes of
-    address space; its stdout is discarded."""
+def child_env():
+    """The environment of a child process that imports this package."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return env
+
+
+def order_in_child(limit, path, fmt):
+    """`order` on `path` in a child process limited to `limit` bytes of
+    address space; its stdout is discarded."""
     return subprocess.run(
         [sys.executable, "-c", _ORDER_CHILD, str(limit), str(path), fmt],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
         text=True, timeout=300,
     )
 
@@ -380,7 +385,7 @@ class TestPostulates:
         def refuse(base):
             raise AssertionError("detect_splitting called")
 
-        monkeypatch.setattr(cli, "detect_splitting", refuse)
+        monkeypatch.setattr(splitting, "detect_splitting", refuse)
         code, out, err = run(capsys, "postulates", example1_file, "--checks", "di,tv")
         assert (code, err) == (0, "")
         assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
@@ -414,7 +419,7 @@ class TestPostulates:
             calls.append(engine)
             return check_di(engine)
 
-        monkeypatch.setattr(cli, "check_di", counted)
+        monkeypatch.setattr(splitting, "check_di", counted)
         code, out, err = run(capsys, "postulates", example1_file,
                              "--checks", "di,di,tv, di,tv")
         assert (code, err) == (0, "") and len(calls) == 1
@@ -430,7 +435,7 @@ class TestPostulates:
             calls.append(len(args))
             return check_rel(*args)
 
-        monkeypatch.setattr(cli, "check_rel", wrapped)
+        monkeypatch.setattr(splitting, "check_rel", wrapped)
         assert run(capsys, "postulates", example1_file, "--checks", "rel")[0] == 0
         assert calls == [4]
 
@@ -551,7 +556,7 @@ class TestFuzz:
             calls.append(engine)
             return check_di(engine)
 
-        monkeypatch.setattr(cli, "check_di", counted)
+        monkeypatch.setattr(splitting, "check_di", counted)
         assert run(capsys, "fuzz", "--cases", "3", "--checks", "di,di") == (
             0, "cases=3 failures=0\n", "")
         assert len(calls) == 3
@@ -663,6 +668,67 @@ class TestRepeatedMain:
         monkeypatch.setattr(cli, "cmd_partition", patched)
         assert run(capsys, "partition", ex1) == (0, f"patched {ex1}\n", "")
         assert len(built) == one_build
+
+
+def imports_in_child(*args):
+    """(exit code, stdout, names of the modules it imported) of a child
+    `python -X importtime` run with `args`."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=child_env(), capture_output=True, text=True,
+                          timeout=120)
+    modules = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+               if line.startswith("import time:")}
+    return done.returncode, done.stdout, modules
+
+
+class TestStartup:
+    """Every call of the console script is a fresh process, so a command
+    loads only what it runs."""
+
+    # What a command that does not need them must not load, beyond what the
+    # interpreter loads on its own.
+    ON_DEMAND = {"dataclasses", "inspect", "json", "systemw.splitting"}
+
+    @pytest.fixture(scope="class")
+    def bare(self):
+        code, _, modules = imports_in_child("-c", "pass")
+        assert code == 0
+        return modules
+
+    @pytest.mark.parametrize("command, args, out", [
+        ("infer", ["b", "f"], "yes\n"),
+        ("check", [], "consistent\n"),
+        ("partition", [], "0: (f|b), (!v|d)\n1: (b|p), (!f|p)\n"),
+        ("order", [], (GOLDEN / "example1.dot").read_text()),
+    ], ids=["infer", "check", "partition", "order"])
+    def test_command_loads_nothing_on_demand(self, bare, command, args, out):
+        code, stdout, modules = imports_in_child(
+            "-m", "systemw.cli", command, str(GOLDEN / "example1.cb"), *args)
+        assert (code, stdout) == (0, out)
+        assert "systemw.preferred" in modules
+        assert modules & self.ON_DEMAND - bare == set()
+
+    def test_json_and_fuzz_load_what_they_run(self):
+        code, out, modules = imports_in_child(
+            "-m", "systemw.cli", "postulates", str(GOLDEN / "example1.cb"),
+            "--checks", "di,tv", "--json")
+        assert code == 0 and {"json", "systemw.splitting"} <= modules
+        assert out == (
+            '{"postulate": "di", "search_bounds": "mode=w conditionals=4", '
+            '"verdict": "pass", "witness": null}\n'
+            '{"postulate": "tv", "search_bounds": "mode=w atoms=3 pairs=65536", '
+            '"verdict": "pass", "witness": null}\n')
+        code, out, modules = imports_in_child("-m", "systemw.cli", "fuzz", "--cases", "3")
+        assert (code, out) == (0, "cases=3 failures=0\n")
+        assert "systemw.splitting" in modules
+
+    def test_package_loads_splitting_on_first_use(self):
+        code, out, modules = imports_in_child(
+            "-c", "import systemw; print(systemw.GenerationError.__mro__[1].__name__)")
+        assert (code, out) == (0, "RuntimeError\n")
+        assert "systemw.splitting" in modules
+        code, _, modules = imports_in_child("-c", "import systemw")
+        assert code == 0 and "systemw.splitting" not in modules
 
 
 class TestFaultPaths:

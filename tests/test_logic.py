@@ -1,13 +1,17 @@
+import copy
 import dataclasses
 import json
+import pickle
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from systemw import logic
-from systemw.splitting import generate_split_base
+from systemw.splitting import PostulateReport, generate_split_base
+from systemw.tolerance import TolerancePartition
 from systemw.logic import (
+    Bot,
     Conditional,
     Conj,
     Disj,
@@ -15,6 +19,7 @@ from systemw.logic import (
     Neg,
     Signature,
     SignatureError,
+    Top,
     UnknownAtomError,
     Var,
     _node_text,
@@ -379,7 +384,75 @@ class TestInternedLiterals:
         for node in (f.ast, neg, neg.child, disj, disj.children[0], disj.children[1]):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 node.child = Var("b")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del node.children
         assert str(parse_formula("!a,(b;top)", sig)) == "!a,(b;top)"
+        # A partition is shared the same way, by the structure and its engines.
+        partition = TolerancePartition((frozenset({0}),))
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'layers'"):
+            partition.layers = ()
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'layers'"):
+            del partition.layers
+        assert partition.layers == (frozenset({0}),)
+
+
+class TestValueSemantics:
+    """Nodes, partitions and reports are plain `__slots__` classes that
+    compare, hash and print by their fields, as dataclasses would."""
+
+    def test_equal_only_within_a_class(self):
+        a, b = Var("a"), Var("b")
+        assert Conj((a, b)) != Disj((a, b))
+        assert Conj((a, b)) == Conj((Var("a"), Var("b")))
+        assert Conj((a, b)) != Conj((b, a))
+        assert Neg(a) != a and Top() != Bot() and Top() == Top()
+        assert Var("a") != "a" and Var("a") != ("a",)
+        assert TolerancePartition(()) != ()
+        assert PostulateReport("di", True) == PostulateReport("di", True, None, "")
+        assert PostulateReport("di", True) != PostulateReport("di", False)
+
+    def test_equal_objects_hash_alike(self):
+        # Each signature interns its own literals, so the trees share no node.
+        sig1, sig2 = Signature(["a", "b"]), Signature(["a", "b"])
+        for text in ("a", "!a", "a,b", "a;!b", "!(a;b),top", "bot"):
+            x, y = parse_formula(text, sig1).ast, parse_formula(text, sig2).ast
+            assert x == y and hash(x) == hash(y)
+        assert len({Conj((Var("a"),)), Conj((Var("a"),)), Disj((Var("a"),))}) == 2
+        assert hash(TolerancePartition((frozenset({1}),))) == hash(
+            TolerancePartition((frozenset({1}),)))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(PostulateReport("di", True))  # a report is mutable
+
+    def test_reprs_are_pinned(self):
+        a = Var("a")
+        assert [repr(n) for n in (Top(), Bot(), a, Neg(a), Conj((a, Neg(a))),
+                                  Disj((a,)))] == [
+            "Top()", "Bot()", "Var(name='a')", "Neg(child=Var(name='a'))",
+            "Conj(children=(Var(name='a'), Neg(child=Var(name='a'))))",
+            "Disj(children=(Var(name='a'),))",
+        ]
+        assert repr(TolerancePartition((frozenset({0, 2}), frozenset()))) == (
+            "TolerancePartition(layers=(frozenset({0, 2}), frozenset()))")
+        assert repr(PostulateReport("rel", False, {"A": "a"}, "mode=w")) == (
+            "PostulateReport(postulate='rel', passed=False, witness={'A': 'a'}, "
+            "search_bounds='mode=w')")
+        assert repr(PostulateReport("di", True)) == (
+            "PostulateReport(postulate='di', passed=True, witness=None, "
+            "search_bounds='')")
+
+    def test_copies_are_equal(self):
+        values = [Top(), Conj((Var("a"), Neg(Var("b")))),
+                  TolerancePartition((frozenset({0}),)),
+                  PostulateReport("di", False, {"index": 0}, "mode=z")]
+        for value in values:
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value
+
+    def test_reports_stay_mutable(self):
+        report = PostulateReport("di", True)
+        report.witness = {"index": 1}
+        assert report.line() == "di: pass witness: index=1"
 
 
 class TestConditional:
