@@ -27,7 +27,6 @@ concurrent queries stay safe.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
 
 MAX_ATOMS = 24
 
@@ -65,7 +64,7 @@ class Signature:
     __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_literals",
                  "_negated", "_formulas", "cache_entries", "__weakref__")
 
-    def __init__(self, atoms: Sequence[str]):
+    def __init__(self, atoms: tuple | list):
         atoms = tuple(atoms)
         for a in atoms:
             if not _ATOM_RE.match(a):
@@ -513,11 +512,17 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
 
 
 class BeliefBase:
-    """Ordered finite set of conditionals; positions are stable 0-based indices."""
+    """Ordered finite set of conditionals; positions are stable 0-based indices.
 
-    __slots__ = ("signature", "conditionals", "__weakref__")
+    `tolerance.tolerance_partition` keeps the base's partition in the
+    private `_partition` slot, which it sets on its first call: the engines
+    of every mode, and the consistency check before them, read that one
+    computation. The slot stays unset until then, so loading a base never
+    computes it, and a copy or pickle of an unread base carries none."""
 
-    def __init__(self, signature: Signature, conditionals: Sequence[Conditional]):
+    __slots__ = ("signature", "conditionals", "_partition", "__weakref__")
+
+    def __init__(self, signature: Signature, conditionals: tuple | list):
         conditionals = tuple(conditionals)
         for c in conditionals:
             if c.signature != signature:
@@ -528,7 +533,7 @@ class BeliefBase:
     def __len__(self) -> int:
         return len(self.conditionals)
 
-    def __iter__(self) -> Iterator[Conditional]:
+    def __iter__(self):
         return iter(self.conditionals)
 
     def __getitem__(self, i: int) -> Conditional:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import re
 from array import array
 from functools import cached_property
-from typing import Iterator
 
 from .logic import BeliefBase
 from .tolerance import InconsistentBeliefBaseError, tolerance_partition
@@ -76,7 +75,7 @@ class PreferredStructure:
     relation between classes and the covers (one descent over the layers per
     class, over worlds and over classes) are computed on first use. Every
     query reads only the layer table that `__init__` builds from the base's
-    tolerance partition.
+    tolerance partition, computed once per base and shared by all its engines.
     """
 
     def __init__(self, base: BeliefBase):
@@ -240,8 +239,8 @@ class PreferredStructure:
             m = clean
         return m
 
-    def pairs(self) -> Iterator[tuple]:
-        """All related pairs (w, w2) with w strictly below w2, sorted."""
+    def pairs(self):
+        """Yields all related pairs (w, w2) with w strictly below w2, sorted."""
         up = [_bits(m) for m in self._relation[1]]
         for w, c in enumerate(self._class_id):
             for w2 in up[c]:
@@ -261,7 +260,7 @@ class PreferredStructure:
         lines.append("}")
         return "\n".join(lines)
 
-    def to_tsv(self) -> Iterator[str]:
+    def to_tsv(self):
         """The full relation, one "w<TAB>w2" row per pair with w strictly
         preferred to w2, as world labels, sorted by w then w2; every row ends
         in a newline, so an empty relation yields nothing. Yields the rows of

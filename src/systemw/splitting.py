@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Iterable, Optional, Sequence
 
 from .inference import Engine, InferenceMode
 from .logic import (
@@ -47,7 +46,7 @@ class PartScope:
     `lift` turns it into a model mask over the full world space.
     """
 
-    def __init__(self, sig: Signature, atoms: Sequence[str]):
+    def __init__(self, sig: Signature, atoms: tuple | list):
         self.sig = sig
         self.atoms = tuple(atoms)
         self.positions = [sig.index(a) for a in self.atoms]
@@ -110,16 +109,17 @@ class SyntaxSplitting:
     here, when the splitting is built. No parts at all are read as the one
     empty part of a zero-atom signature.
 
-    `views` are the bipartitions the checks compare, each a pair of sides
-    (atoms, conditional indices): the splitting itself for two parts, every
-    part against the rest for more, none for one. The checks of a splitting
-    share its `PartScope` per side and its `Engine` per mode and sub-base,
-    each built on first use unless `scopes` (over the base's signature)
-    holds it.
+    `parts` is an iterable of atom sequences, and `scopes` one of
+    `PartScope`s over the base's signature. `views` are the bipartitions the
+    checks compare, each a pair of sides (atoms, conditional indices): the
+    splitting itself for two parts, every part against the rest for more,
+    none for one. The checks of a splitting share its `PartScope` per side,
+    its sub-base per side and its `Engine` per mode and sub-base, each built
+    on first use unless `scopes` holds the scope. As a sub-base is built
+    once, the W, Z and P engines of a side share its tolerance partition.
     """
 
-    def __init__(self, base: BeliefBase, parts: Iterable[Sequence[str]],
-                 scopes: Iterable[PartScope] = ()):
+    def __init__(self, base: BeliefBase, parts, scopes=()):
         parts = tuple(tuple(part) for part in parts) or ((),)
         home = {a: n for n, part in enumerate(parts) for a in part}  # atom -> part
         if len(home) != sum(map(len, parts)):
@@ -147,6 +147,7 @@ class SyntaxSplitting:
                 ((part, idxs), (tuple(a for a in atoms if home[a] != n), every - idxs))
                 for n, (part, idxs) in enumerate(sides))
         self._scopes = {s.atoms: s for s in scopes}  # atoms -> PartScope
+        self._bases = {frozenset(base.indices()): base}  # conditional indices -> sub-base
         self._engines: dict = {}  # (mode, conditional indices) -> Engine
 
     def scope(self, atoms: tuple) -> PartScope:
@@ -156,20 +157,23 @@ class SyntaxSplitting:
             scope = self._scopes[atoms] = PartScope(self.base.signature, atoms)
         return scope
 
-    def engine(self, mode: InferenceMode, indices: Optional[frozenset] = None) -> Engine:
+    def engine(self, mode: InferenceMode, indices: frozenset | None = None) -> Engine:
         """The engine of the sub-base of the conditionals `indices`, by
         default of the whole base. A sub-base is a belief base of its own,
-        its conditionals in base order and numbered from 0."""
+        its conditionals in base order and numbered from 0; every mode's
+        engine of it reads the same one."""
         base = self.base
         indices = frozenset(base.indices()) if indices is None else indices
         engine = self._engines.get((mode, indices))
         if engine is None:
-            if len(indices) < len(base):
-                base = BeliefBase(base.signature, [base[i] for i in sorted(indices)])
-            engine = self._engines[mode, indices] = Engine(base, mode)
+            sub = self._bases.get(indices)
+            if sub is None:
+                sub = self._bases[indices] = BeliefBase(
+                    base.signature, [base[i] for i in sorted(indices)])
+            engine = self._engines[mode, indices] = Engine(sub, mode)
         return engine
 
-    def structure(self, indices: Optional[frozenset] = None) -> PreferredStructure:
+    def structure(self, indices: frozenset | None = None) -> PreferredStructure:
         """The preferred structure of the sub-base of `indices`, read from
         its W engine."""
         return self.engine(InferenceMode.W, indices).preferred_structure
@@ -194,7 +198,7 @@ def detect_splitting(base: BeliefBase) -> SyntaxSplitting:
 class PostulateReport(Record):
     __slots__ = ("postulate", "passed", "witness", "search_bounds")
 
-    def __init__(self, postulate: str, passed: bool, witness: Optional[dict] = None,
+    def __init__(self, postulate: str, passed: bool, witness: dict | None = None,
                  search_bounds: str = ""):
         self.postulate = postulate
         self.passed = passed
@@ -368,7 +372,7 @@ def check_tv(mode: InferenceMode) -> PostulateReport:
     """On the empty base, inference must coincide with classical entailment
     on all formula pairs over a fresh signature, which `pairs=` counts. As
     A |~ B iff C(A) ⊆ B, one C(A) = A per formula A decides all its pairs."""
-    sig = Signature(string.ascii_lowercase[:TV_ATOMS])
+    sig = Signature(tuple(string.ascii_lowercase[:TV_ATOMS]))
     engine = Engine(BeliefBase(sig, ()), mode)
     space = sig.full_mask + 1
     bounds = f"mode={mode.value} atoms={TV_ATOMS}"

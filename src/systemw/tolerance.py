@@ -1,12 +1,14 @@
 """The inclusion-maximal tolerance partition; None marks an inconsistent base.
 
+The partition depends on the base alone, so `tolerance_partition` computes it
+once per `BeliefBase`, on first use, and keeps it on the base: the W, Z and P
+engines of one base, and the consistency check before them, share it.
+
 A `TolerancePartition` is a `logic.Frozen` record, so that loading this
 module does not load `dataclasses`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .logic import BeliefBase, Frozen
 
@@ -26,11 +28,23 @@ class TolerancePartition(Frozen):
         object.__setattr__(self, "layers", layers)
 
 
-def tolerance_partition(base: BeliefBase) -> Optional[TolerancePartition]:
+def tolerance_partition(base: BeliefBase) -> TolerancePartition | None:
     """Inclusion-maximal tolerance partition of the base's conditional
-    indices, or None for an inconsistent base. A conditional is tolerated at
-    a stage by a world that verifies it and falsifies none of the remaining
-    ones; the base is inconsistent when some stage tolerates none of them."""
+    indices, or None for an inconsistent base. The first call on a base
+    computes it and stores it in the base's `_partition` slot, which is
+    unset until then; every later call returns the stored value. The value
+    holds only sets of indices, so the base is in no reference cycle."""
+    try:
+        return base._partition
+    except AttributeError:
+        partition = base._partition = _partition(base)
+        return partition
+
+
+def _partition(base: BeliefBase) -> TolerancePartition | None:
+    """The partition, computed. A conditional is tolerated at a stage by a
+    world that verifies it and falsifies none of the remaining ones; the
+    base is inconsistent when some stage tolerates none of them."""
     pairs = [(c.verification_mask, c.falsification_mask) for c in base]
     remaining = list(base.indices())
     layers = []

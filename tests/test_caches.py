@@ -13,7 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import systemw
-from systemw import Engine, InferenceMode, logic, parse_formula
+from systemw import Engine, InferenceMode, generate_split_base, logic, parse_formula
 from systemw.cli import load_belief_base
 
 from conftest import EXAMPLE1_TEXT
@@ -114,8 +114,26 @@ def test_a_base_is_freed_without_the_cycle_collector():
                 for engine in engines:
                     engine.entails(a, b)
         assert len(sig._formulas) == 6
+        # The base keeps the partition its engines share.
+        assert base._partition is engines[0].preferred_structure.partition
         refs = [weakref.ref(x) for x in (sig, base, *engines)]
         del base, sig, engines, engine, a, b
+        assert [r() for r in refs] == [None] * 5
+    finally:
+        gc.enable()
+
+
+def test_a_generated_base_and_its_splitting_are_freed_without_the_cycle_collector():
+    """The partition each base and sub-base keeps holds sets of indices
+    only, so the bases are freed once the splitting and engines are."""
+    gc.disable()
+    try:
+        base, split = generate_split_base(2, 3, 0)
+        sides = (None, *split.conditional_parts)
+        engines = [split.engine(mode, idxs) for mode in InferenceMode for idxs in sides]
+        assert all(e.base._partition is not None for e in engines)
+        refs = [weakref.ref(x) for x in (base, split, *(e.base for e in engines[:3]))]
+        del base, split, engines
         assert [r() for r in refs] == [None] * 5
     finally:
         gc.enable()

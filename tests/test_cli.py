@@ -695,18 +695,30 @@ class TestStartup:
         assert code == 0
         return modules
 
-    @pytest.mark.parametrize("command, args, out", [
+    # (command, arguments after the file, pinned stdout) on example 1.
+    COMMANDS = pytest.mark.parametrize("command, args, out", [
         ("infer", ["b", "f"], "yes\n"),
         ("check", [], "consistent\n"),
         ("partition", [], "0: (f|b), (!v|d)\n1: (b|p), (!f|p)\n"),
         ("order", [], (GOLDEN / "example1.dot").read_text()),
     ], ids=["infer", "check", "partition", "order"])
+
+    @COMMANDS
     def test_command_loads_nothing_on_demand(self, bare, command, args, out):
         code, stdout, modules = imports_in_child(
             "-m", "systemw.cli", command, str(GOLDEN / "example1.cb"), *args)
         assert (code, stdout) == (0, out)
         assert "systemw.preferred" in modules
         assert modules & self.ON_DEMAND - bare == set()
+
+    @COMMANDS
+    def test_command_loads_no_typing(self, command, args, out):
+        # Without `site`, whose `.pth` hooks may load `typing` on their own,
+        # nothing loads it: the package's annotations name builtins only.
+        code, stdout, modules = imports_in_child(
+            "-S", "-m", "systemw.cli", command, str(GOLDEN / "example1.cb"), *args)
+        assert (code, stdout) == (0, out)
+        assert "systemw.preferred" in modules and "typing" not in modules
 
     def test_json_and_fuzz_load_what_they_run(self):
         code, out, modules = imports_in_child(

@@ -34,7 +34,7 @@ from systemw.splitting import (
 )
 from systemw.tolerance import TolerancePartition
 
-from oracles import components, conjoin, node_mask, random_base
+from oracles import components, conjoin, node_mask, random_base, reference_check_lemma1
 
 
 def cond_strs(base, idxs):
@@ -278,6 +278,20 @@ class TestLemmas:
         assert check_lemma1(detect_splitting(example1)).line() == (
             "lemma1: FAIL [partition comparison] witness: "
             "claim=1 layer=0 sub=[2, 3] expected=[0]")
+
+    def test_every_mode_of_a_side_reads_one_sub_base(self, example1):
+        # Z and P first: the W engine that lemma 1 reads comes last, and
+        # finds the sub-base and the partition they stored.
+        spl = detect_splitting(example1)
+        sides = (None, *spl.conditional_parts)
+        for idxs in sides:
+            z, p, w = (spl.engine(InferenceMode(m), idxs) for m in "zpw")
+            assert z.base is p.base is w.base is spl.structure(idxs).base
+            assert w.preferred_structure.partition is tolerance_partition(p.base)
+        assert spl.engine(InferenceMode.P).base is example1
+        assert [len(spl.engine(InferenceMode.Z, i).base) for i in sides] == [4, 3, 1]
+        assert check_lemma1(spl) == reference_check_lemma1(spl)
+        assert check_lemma1(spl).passed
 
     def test_lemma1_empty_side(self):
         # one side of the splitting carries no conditionals: l2 = -1, k = l1

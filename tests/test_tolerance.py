@@ -1,19 +1,33 @@
+import copy
+import pickle
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from systemw import (
     BeliefBase,
+    Engine,
+    InconsistentBeliefBaseError,
+    InferenceMode,
+    PreferredStructure,
     Signature,
+    cli,
     parse_conditional,
+    tolerance,
     tolerance_partition,
 )
+from systemw.cli import load_belief_base
 
-from conftest import world_bits
+from conftest import EXAMPLE1_TEXT, world_bits
 from oracles import (
     oracle_falsifies,
     oracle_tolerance_partition,
     oracle_tolerated,
     oracle_verifies,
     random_base,
+    random_consistent_base,
+    random_layered_base,
     assignment_of_bits,
 )
 
@@ -118,3 +132,82 @@ def test_matches_oracle_on_random_bases():
         else:
             assert got is not None
             assert list(got.layers) == expected
+
+
+class TestPartitionMemo:
+    """A base computes its partition once, on first use, and every engine,
+    mode and command that reads it afterwards gets the stored one."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The bases whose partition was computed, one entry per computation."""
+        bases = []
+        compute = tolerance._partition
+
+        def counted(base):
+            bases.append(base)
+            return compute(base)
+
+        monkeypatch.setattr(tolerance, "_partition", counted)
+        return bases
+
+    def test_engines_of_every_mode_compute_it_once(self, computed):
+        base = load_belief_base(EXAMPLE1_TEXT)
+        assert computed == []  # loading computes nothing
+        engines = [Engine(base, mode) for mode in InferenceMode]
+        ps = PreferredStructure(base)
+        assert computed == [base]
+        assert engines[0].preferred_structure.partition is ps.partition
+        assert ps.partition is tolerance_partition(base) is base._partition
+        assert computed == [base]
+
+    @pytest.mark.parametrize("argv, bases", [
+        (["check"], 1),
+        (["partition"], 1),
+        (["infer", "d,p", "!v", "--mode", "w"], 1),
+        (["infer", "d,p", "!v", "--mode", "p"], 1),
+        (["order", "--format", "tsv"], 1),
+        # The base, each of its two sides, and the empty base of tv.
+        (["postulates", "--mode", "z"], 4),
+    ], ids=["check", "partition", "infer-w", "infer-p", "order", "postulates"])
+    def test_a_command_computes_it_once_per_base(self, computed, capsys,
+                                                 example1_file, argv, bases):
+        cli.main([argv[0], example1_file, *argv[1:]])
+        assert capsys.readouterr().err == ""
+        assert len(computed) == len(set(map(id, computed))) == bases
+
+    def test_inconsistent_base_raises_on_every_build(self, computed):
+        sig = Signature(["a"])
+        base = BeliefBase(
+            sig, [parse_conditional("(a|top)", sig), parse_conditional("(!a|top)", sig)]
+        )
+        for _ in range(2):
+            for mode in InferenceMode:
+                with pytest.raises(InconsistentBeliefBaseError, match="inconsistent"):
+                    Engine(base, mode)
+            with pytest.raises(InconsistentBeliefBaseError, match="inconsistent"):
+                PreferredStructure(base)
+            assert tolerance_partition(base) is None
+        assert computed == [base]
+
+    def test_copies_compute_or_carry_it(self, computed):
+        base = load_belief_base(EXAMPLE1_TEXT)
+        want = tolerance._partition(base)
+        fresh = [copy.copy(base), pickle.loads(pickle.dumps(base))]
+        assert [tolerance_partition(twin) for twin in fresh] == [want] * 2
+        tolerance_partition(base)
+        carried = [copy.copy(base), pickle.loads(pickle.dumps(base))]
+        assert [tolerance_partition(twin) for twin in carried] == [want] * 2
+        assert len(computed) == 4  # `want`, the two fresh twins and `base`
+
+
+@given(st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stored_partition_matches_oracle(seed, layered):
+    # Each generator keeps the first draw whose partition it read as
+    # consistent, so the base holds that partition already.
+    base = (random_layered_base(seed, 5, 3, 1 + seed % 3) if layered
+            else random_consistent_base(seed, max_atoms=4, max_conds=4))
+    stored = base._partition
+    assert tolerance_partition(base) is stored
+    assert list(stored.layers) == oracle_tolerance_partition(base)
