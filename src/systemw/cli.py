@@ -25,7 +25,8 @@ from .logic import (
     FormulaSyntaxError,
     Signature,
     SignatureError,
-    parse_conditional,
+    _disjunct_table,
+    _load_conditional,
     parse_formula,
 )
 from .preferred import PreferredStructure
@@ -59,9 +60,10 @@ def load_belief_base(text: str) -> BeliefBase:
                 sig = Signature(atoms)
             except SignatureError as e:
                 raise BeliefBaseFormatError(f"line {lineno}: {e}") from e
+            table = _disjunct_table(sig)  # this load's disjuncts, dropped with it
             continue
         try:
-            cond = parse_conditional(line, sig)
+            cond = _load_conditional(line, sig, table)
         except FormulaSyntaxError as e:
             raise BeliefBaseFormatError(f"line {lineno}: {e}") from e
         if not cond.antecedent.satisfiable():

@@ -22,6 +22,15 @@ The memo, and the C(A) cache of every `Engine`, hold at most
 (a C(A) entry's key and value), with a floor for the objects around them.
 A full cache clears itself and fills again; `dict.clear` is atomic, so
 concurrent queries stay safe.
+
+A file's lines are parsed once each, but a base that splits is written as a
+DNF over each part, so its disjuncts repeat from line to line. While
+`cli.load_belief_base` reads one file, a `_DisjunctTable` keeps the (node,
+mask, atoms) of each disjunct it has parsed, and a DNF half is read from it
+disjunct by disjunct. The table is not kept on the signature: it lives for
+one load. It holds at most LOAD_TABLE_BYTES and is never cleared; a half
+that would not fit is parsed whole, and so is every half of a signature
+below LOAD_TABLE_MIN_ATOMS.
 """
 
 from __future__ import annotations
@@ -35,6 +44,18 @@ MAX_ATOMS = 24
 # value objects, and a memoized formula's tree.
 CACHE_BYTES = 128 << 20
 MIN_ENTRY_BYTES = 512
+# Bytes the disjunct table of one file load may hold (see the module
+# docstring), each entry counted as its mask, 4 bytes per 30 bits as CPython
+# stores an int, plus MIN_ENTRY_BYTES. It holds every disjunct of a two-part
+# split base up to 16 atoms (512 entries of 9,252 bytes), and no half of one
+# at 18 atoms (about 256 entries of 35,468 bytes): no later half would fit to
+# read them, so taking one would add 8 MiB to the load and save nothing.
+LOAD_TABLE_BYTES = 6 << 20
+# The fewest atoms over which a load keeps a disjunct table. Below it a file
+# loads in well under a millisecond, so the table saves little (a 6-atom
+# split base: 0.26 against 0.34 ms), while its allocations move the cyclic
+# collector's runs into the engine builds that follow a load.
+LOAD_TABLE_MIN_ATOMS = 7
 
 _ATOM_RE = re.compile(r"\A[a-z][a-z0-9_]*\Z")
 
@@ -486,6 +507,74 @@ class Conditional:
 def parse_conditional(text: str, sig: Signature) -> Conditional:
     """Parse '(B|A)' with the consequent before the bar. Fault positions
     count from the opening parenthesis, leading blanks removed."""
+    return _load_conditional(text, sig, None)
+
+
+class _DisjunctTable:
+    """Disjunct text -> (node, mask, atoms) over one signature, for the lines
+    of one file: a base that splits is written as a DNF over each part, so
+    the same disjuncts come back line after line. It holds at most `room`
+    entries, LOAD_TABLE_BYTES as counted there, and is never cleared: a
+    half is read through it only while it has room for all of the half's
+    disjuncts; a half it has no room for is parsed whole. It is dropped with
+    the load."""
+
+    __slots__ = ("sig", "entries", "atom_sets", "room")
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.entries = {}
+        # Each stored disjunct's atoms, one object per distinct set: a half
+        # whose disjuncts share their atoms then takes no union.
+        self.atom_sets = {}
+        mask_bytes = (sig.num_worlds + 29) // 30 * 4
+        self.room = LOAD_TABLE_BYTES // (mask_bytes + MIN_ENTRY_BYTES)
+
+    def half(self, text: str) -> tuple | None:
+        """(node, mask, atoms) of a half without '(' or ')' that has a ';',
+        read disjunct by disjunct: the tree, mask and atoms the general
+        parser gives the whole half. None for any other half, for a half
+        with more disjuncts than the table has room left, and for a half
+        with a fault, which the caller parses whole for the parser's own
+        error."""
+        entries = self.entries
+        semicolons = text.count(";")
+        if (not semicolons or "(" in text or ")" in text
+                or len(entries) + semicolons >= self.room):
+            return None
+        sig = self.sig
+        nodes = []
+        mask = 0
+        atoms = last = frozenset()
+        for d in text.split(";"):
+            hit = entries.get(d)
+            if hit is None:
+                toks = _TOKEN_RE.findall(d)
+                try:
+                    node, dmask = _parse(d, sig, toks)
+                except FormulaSyntaxError:
+                    return None
+                datoms = frozenset(toks).intersection(sig._index)
+                datoms = self.atom_sets.setdefault(datoms, datoms)
+                entries[d] = (node, dmask, datoms)
+            else:
+                node, dmask, datoms = hit
+            nodes.append(node)
+            mask |= dmask
+            if datoms is not last:
+                last = datoms
+                atoms = atoms | datoms
+        return Disj(tuple(nodes)), mask, atoms
+
+
+def _disjunct_table(sig: Signature) -> _DisjunctTable | None:
+    """The table for one load over `sig`, or None below LOAD_TABLE_MIN_ATOMS."""
+    return _DisjunctTable(sig) if sig.num_atoms >= LOAD_TABLE_MIN_ATOMS else None
+
+
+def _load_conditional(text: str, sig: Signature, table: _DisjunctTable | None) -> Conditional:
+    """`parse_conditional`, reading each half through `table` when one is
+    given (see `_DisjunctTable.half`) and parsing it whole otherwise."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise FormulaSyntaxError("conditional must be enclosed in parentheses", 0)
@@ -497,17 +586,22 @@ def parse_conditional(text: str, sig: Signature) -> Conditional:
         raise FormulaSyntaxError("conditional needs exactly one '|'", at)
     halves = []
     # The antecedent is parsed first: when both halves have a fault, its
-    # fault is the one reported. A file's lines are parsed once each, so the
-    # halves bypass the memo. A parsed half's atoms are its atom tokens.
+    # fault is the one reported. The halves bypass the signature's memo,
+    # which keeps the texts that queries ask: in a file it is the disjuncts
+    # that repeat, and `table` serves them. A half parsed whole gets its
+    # atom tokens as its atoms.
     for start, end in ((bar + 1, len(s) - 1), (1, bar)):
         half = s[start:end]
-        toks = _TOKEN_RE.findall(half)
-        try:
-            node, mask = _parse(half, sig, toks)
-        except FormulaSyntaxError as e:
-            e.position += start  # count from the opening parenthesis
-            raise
-        halves.append(Formula(sig, node, mask, frozenset(toks).intersection(sig._index)))
+        parsed = table.half(half) if table is not None else None
+        if parsed is None:
+            toks = _TOKEN_RE.findall(half)
+            try:
+                node, mask = _parse(half, sig, toks)
+            except FormulaSyntaxError as e:
+                e.position += start  # count from the opening parenthesis
+                raise
+            parsed = node, mask, frozenset(toks).intersection(sig._index)
+        halves.append(Formula(sig, *parsed))
     return Conditional(*halves)
 
 
