@@ -199,10 +199,7 @@ def cmd_fuzz(args) -> int:
     failures = 0
     for case in range(args.cases):
         case_seed = args.seed * 1_000_003 + case
-        try:
-            base, split = splitting.generate_split_base(args.vars, args.conds, case_seed)
-        except splitting.GenerationError as e:  # a fault, reported as `main` reports one
-            raise ValueError(str(e)) from e
+        base, split = splitting.generate_split_base(args.vars, args.conds, case_seed)
         for name in names:
             for r in CHECKS[name](base, split, mode, args.bound, case_seed):
                 if not r.passed:
@@ -293,9 +290,8 @@ def main(argv=None) -> int:
         # Looked up by name at call time, so a rebound `cmd_*` is the one
         # that runs.
         return globals()[f"cmd_{args.command}"](args)
-    # Bad files, formulas, signatures and flags and inconsistent bases all
-    # raise subclasses of ValueError, and `cmd_fuzz` turns a generator out of
-    # attempts into one.
+    # Bad files, formulas, signatures and flags, inconsistent bases and a
+    # generator out of attempts all raise subclasses of ValueError.
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -83,7 +83,7 @@ class Signature:
     """Ordered set of distinct atom names; the order fixes world bit layout."""
 
     __slots__ = ("atoms", "_index", "num_atoms", "num_worlds", "full_mask", "_literals",
-                 "_negated", "_formulas", "cache_entries", "__weakref__")
+                 "_negated", "_formulas", "_mask_bytes", "cache_entries", "__weakref__")
 
     def __init__(self, atoms: tuple | list):
         atoms = tuple(atoms)
@@ -106,8 +106,9 @@ class Signature:
         self._literals = {"top": (_TOP, self.full_mask), "bot": (_BOT, 0)}
         self._negated = {"top": (Neg(_TOP), 0), "bot": (Neg(_BOT), self.full_mask)}
         self._formulas: dict = {}  # formula text -> (node, mask), by `parse_formula`
-        # Two masks of num_worlds bits each: num_worlds / 4 bytes.
-        self.cache_entries = CACHE_BYTES // max(self.num_worlds >> 2, MIN_ENTRY_BYTES)
+        # A mask's bytes as CPython stores an int: 4 per 30-bit digit.
+        self._mask_bytes = (self.num_worlds + 29) // 30 * 4
+        self.cache_entries = CACHE_BYTES // max(2 * self._mask_bytes, MIN_ENTRY_BYTES)
 
     def index(self, atom: str) -> int:
         try:
@@ -527,8 +528,7 @@ class _DisjunctTable:
         # Each stored disjunct's atoms, one object per distinct set: a half
         # whose disjuncts share their atoms then takes no union.
         self.atom_sets = {}
-        mask_bytes = (sig.num_worlds + 29) // 30 * 4
-        self.room = LOAD_TABLE_BYTES // (mask_bytes + MIN_ENTRY_BYTES)
+        self.room = LOAD_TABLE_BYTES // (sig._mask_bytes + MIN_ENTRY_BYTES)
 
     def half(self, text: str) -> tuple | None:
         """(node, mask, atoms) of a half without '(' or ')' that has a ';',

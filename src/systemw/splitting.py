@@ -31,8 +31,8 @@ from .preferred import PreferredStructure
 from .tolerance import tolerance_partition
 
 
-class GenerationError(RuntimeError):
-    pass
+class GenerationError(RuntimeError, ValueError):
+    """No consistent draw; a ValueError, as every fault of the package is."""
 
 
 # A k-atom part of an n-atom signature keeps 2^(k + n) bits of world masks.
@@ -49,7 +49,7 @@ class PartScope:
     def __init__(self, sig: Signature, atoms: tuple | list):
         self.sig = sig
         self.atoms = tuple(atoms)
-        self.positions = [sig.index(a) for a in self.atoms]
+        positions = [sig.index(a) for a in self.atoms]
         if len(self.atoms) + sig.num_atoms > MAX_SCOPE_BITS:
             raise ValueError(f"the {len(self.atoms)}-atom part {{{','.join(self.atoms)}}} "
                              f"of a {sig.num_atoms}-atom signature is over the limit of "
@@ -58,7 +58,7 @@ class PartScope:
         # Group s: the worlds where each atom j is true iff bit j of s is set.
         groups = [sig.full_mask]
         minterms = [()]
-        for a, p in zip(self.atoms, self.positions):
+        for a, p in zip(self.atoms, positions):
             true = sig.atom_mask(p)
             groups = [g & ~true for g in groups] + [g & true for g in groups]
             pos = Var(a)
@@ -75,13 +75,6 @@ class PartScope:
             mask |= self.group_masks[low.bit_length() - 1]
             t ^= low
         return mask
-
-    def group_of(self, w: int) -> int:
-        """Mask of the worlds that agree with world w on the part's atoms."""
-        s = 0
-        for j, p in enumerate(self.positions):
-            s |= ((w >> p) & 1) << j
-        return self.group_masks[s]
 
     def formula(self, t: int) -> Formula:
         """Disjunctive-normal-form formula over the part with sub-model set t."""
@@ -420,9 +413,20 @@ def check_lemma1(splitting: SyntaxSplitting) -> PostulateReport:
     return PostulateReport("lemma1", True, search_bounds=bounds)
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def _world_pair_witness(sig: Signature, viol: int, w2: int) -> dict:
-    w = (viol & -viol).bit_length() - 1
-    return {"world": sig.render_world(w), "world2": sig.render_world(w2)}
+    return {"world": sig.render_world(_lowest(viol)), "world2": sig.render_world(w2)}
+
+
+# Lemmas 2-4 ask `below` once per class or cell, at its lowest world, in
+# ascending order, so the first that fails holds the lowest failing world. A
+# class of the base lies within one class of each side, whose conditionals
+# are some of the base's; a cell, a side's class within one group of the
+# other part, lies within one class of the base, as the other side's
+# conditionals read only that part's atoms.
 
 
 def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
@@ -432,10 +436,10 @@ def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
     for (_, idx1), (_, idx2) in splitting.views:
         ps, ps1, ps2 = (splitting.structure(), splitting.structure(idx1),
                         splitting.structure(idx2))
-        for w2 in range(sig.num_worlds):
+        for w2, m in sorted((_lowest(m), m) for _, m in ps.classes):
             below = ps.below(w2)
             viol = below & ~(ps1.below(w2) | ps2.below(w2))
-            pairs += below.bit_count()
+            pairs += below.bit_count() * m.bit_count()
             if viol:
                 return PostulateReport(
                     "lemma2", False,
@@ -455,9 +459,10 @@ def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
     for (atoms1, idx1), (atoms2, idx2) in splitting.views:
         ps = splitting.structure()
         for idxs, other, tag in ((idx1, atoms2, "part1"), (idx2, atoms1, "part2")):
-            sub_ps, other_scope = splitting.structure(idxs), splitting.scope(other)
-            for w2 in range(sig.num_worlds):
-                same = other_scope.group_of(w2)
+            sub_ps, groups = splitting.structure(idxs), splitting.scope(other).group_masks
+            cells = sorted((_lowest(cell), same) for _, m in sub_ps.classes
+                           for same in groups if (cell := m & same))
+            for w2, same in cells:
                 viol = sub_ps.below(w2) & same & ~ps.below(w2)
                 if viol:
                     witness = _world_pair_witness(sig, viol, w2)
@@ -479,19 +484,16 @@ def check_lemma4(splitting: SyntaxSplitting) -> PostulateReport:
     for view in splitting.views:
         for (atoms, idxs), tag in zip(view, ("part1", "part2")):
             sub_ps, scope = splitting.structure(idxs), splitting.scope(atoms)
-            for w2 in range(sig.num_worlds):
+            for w2 in sorted(_lowest(m) for _, m in sub_ps.classes):
                 doms = sub_ps.below(w2)
                 for gm in scope.group_masks:
                     inside = doms & gm
                     if inside and inside != gm:
-                        outside = gm & ~doms
-                        wa = (inside & -inside).bit_length() - 1
-                        wb = (outside & -outside).bit_length() - 1
                         return PostulateReport(
                             "lemma4", False,
                             witness={
-                                "world_a": sig.render_world(wa),
-                                "world_b": sig.render_world(wb),
+                                "world_a": sig.render_world(_lowest(inside)),
+                                "world_b": sig.render_world(_lowest(gm & ~doms)),
                                 "world2": sig.render_world(w2),
                                 "side": tag,
                             },

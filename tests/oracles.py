@@ -6,8 +6,8 @@ they serve as oracles for it. The rest are references of another kind: code
 that a faster version in the package replaced, kept as it was (the tree walk
 of formula masks, the pairwise class relation, the trie walk of the Hasse
 covers, the per-mode query code, the (TV) loop over formula pairs, lemma 1's
-partition rebuild, the recursive descent parser), and readers of the order
-exports.
+partition rebuild, the per-world loops of lemmas 2-4, the recursive descent
+parser), and readers of the order exports.
 """
 
 from __future__ import annotations
@@ -622,6 +622,101 @@ def reference_check_lemma1(splitting):
                     search_bounds="partition comparison",
                 )
     return PostulateReport("lemma1", True, search_bounds="partition comparison")
+
+
+def group_of(scope, w: int) -> int:
+    """Mask of the worlds that agree with world w on the scope's atoms: the
+    `PartScope.group_of` that the per-world lemma 3 loop read."""
+    s = sum(((w >> scope.sig.index(a)) & 1) << j for j, a in enumerate(scope.atoms))
+    return scope.group_masks[s]
+
+
+def _world_pair_witness(sig: Signature, viol: int, w2: int) -> dict:
+    w = (viol & -viol).bit_length() - 1
+    return {"world": sig.render_world(w), "world2": sig.render_world(w2)}
+
+
+def reference_check_lemma2(splitting):
+    """Lemma 2 asked once per world, as `check_lemma2` did before it asked
+    once per class."""
+    from systemw.splitting import PostulateReport
+
+    sig = splitting.base.signature
+    pairs = 0
+    for (_, idx1), (_, idx2) in splitting.views:
+        ps, ps1, ps2 = (splitting.structure(), splitting.structure(idx1),
+                        splitting.structure(idx2))
+        for w2 in range(sig.num_worlds):
+            below = ps.below(w2)
+            viol = below & ~(ps1.below(w2) | ps2.below(w2))
+            pairs += below.bit_count()
+            if viol:
+                return PostulateReport(
+                    "lemma2", False,
+                    witness=_world_pair_witness(sig, viol, w2),
+                    search_bounds=f"worlds={sig.num_worlds} exhaustive",
+                )
+    return PostulateReport(
+        "lemma2", True,
+        search_bounds=f"worlds={sig.num_worlds} related_pairs={pairs}",
+    )
+
+
+def reference_check_lemma3(splitting):
+    """Lemma 3 asked once per world, as `check_lemma3` did before it asked
+    once per cell."""
+    from systemw.splitting import PostulateReport
+
+    sig = splitting.base.signature
+    for (atoms1, idx1), (atoms2, idx2) in splitting.views:
+        ps = splitting.structure()
+        for idxs, other, tag in ((idx1, atoms2, "part1"), (idx2, atoms1, "part2")):
+            sub_ps, other_scope = splitting.structure(idxs), splitting.scope(other)
+            for w2 in range(sig.num_worlds):
+                same = group_of(other_scope, w2)
+                viol = sub_ps.below(w2) & same & ~ps.below(w2)
+                if viol:
+                    witness = _world_pair_witness(sig, viol, w2)
+                    witness["side"] = tag
+                    return PostulateReport(
+                        "lemma3", False, witness=witness,
+                        search_bounds=f"worlds={sig.num_worlds} exhaustive",
+                    )
+    return PostulateReport(
+        "lemma3", True, search_bounds=f"worlds={sig.num_worlds} exhaustive"
+    )
+
+
+def reference_check_lemma4(splitting):
+    """Lemma 4 asked once per world, as `check_lemma4` did before it asked
+    once per class."""
+    from systemw.splitting import PostulateReport
+
+    sig = splitting.base.signature
+    for view in splitting.views:
+        for (atoms, idxs), tag in zip(view, ("part1", "part2")):
+            sub_ps, scope = splitting.structure(idxs), splitting.scope(atoms)
+            for w2 in range(sig.num_worlds):
+                doms = sub_ps.below(w2)
+                for gm in scope.group_masks:
+                    inside = doms & gm
+                    if inside and inside != gm:
+                        outside = gm & ~doms
+                        wa = (inside & -inside).bit_length() - 1
+                        wb = (outside & -outside).bit_length() - 1
+                        return PostulateReport(
+                            "lemma4", False,
+                            witness={
+                                "world_a": sig.render_world(wa),
+                                "world_b": sig.render_world(wb),
+                                "world2": sig.render_world(w2),
+                                "side": tag,
+                            },
+                            search_bounds=f"worlds={sig.num_worlds} exhaustive",
+                        )
+    return PostulateReport(
+        "lemma4", True, search_bounds=f"worlds={sig.num_worlds} exhaustive"
+    )
 
 
 # --- reference parser -----------------------------------------------------------

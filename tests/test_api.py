@@ -46,6 +46,7 @@ REMOVED_METHODS = (
     (preferred.PreferredStructure, "above"),
     (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
+    (splitting.PartScope, "group_of"),
     (splitting.SyntaxSplitting, "validate"),
     (tolerance.TolerancePartition, "layer_of"),
     (tolerance.TolerancePartition, "all_indices"),
@@ -75,6 +76,11 @@ def test_all_is_sorted_without_duplicates():
     assert systemw.__all__ == sorted(set(systemw.__all__))
 
 
+def test_dir_lists_the_names_loaded_on_first_use():
+    assert dir(systemw) == sorted(set(vars(systemw)) | set(systemw.__all__))
+    assert {"GenerationError", "check_lemma4", "Engine"} <= set(dir(systemw))
+
+
 def test_removed_names_are_gone():
     modules = (systemw, logic, tolerance, preferred, inference, splitting, cli)
     for name in REMOVED_FUNCTIONS:
@@ -84,6 +90,25 @@ def test_removed_names_are_gone():
         assert not hasattr(cls, name)
     for fn, name in REMOVED_PARAMETERS:
         assert name not in inspect.signature(fn).parameters
+
+
+def test_names_the_benchmark_reads_are_there():
+    # `perfbench/` wraps or calls these names in the shapes asserted here
+    # (`tracing.py`, `workloads.py`); dropping one fails only the benchmark.
+    # They may go with ROADMAP item 8, when the benchmark reads the
+    # package's own counters instead.
+    assert isinstance(logic.Formula.__dict__["mask"], property)
+    for cls, names in ((preferred.PreferredStructure, ("__init__", "to_dot", "pairs")),
+                       (inference.Engine, ("__init__", "entails", "entails_masks")),
+                       (splitting.PartScope, ("__init__",))):
+        for name in names:
+            assert callable(cls.__dict__.get(name)), (cls.__name__, name)
+    assert isinstance(splitting.LEMMA_CHECKS, dict)
+    for name in ("di", "tv", "rel", "ind", "synsplit"):
+        assert callable(getattr(splitting, "check_" + name))
+    sig = logic.Signature(["a", "b"])
+    base = logic.BeliefBase(sig, [logic.parse_conditional("(b|a)", sig)])
+    assert [set(layer) for layer in tolerance.tolerance_partition(base).layers] == [{0}]
 
 
 def test_readme_library_snippet_runs():

@@ -93,6 +93,16 @@ class TestSignature:
         sig = Signature(["b", "p", "f", "v", "d"])
         assert sig.render_world(world_bits(sig, "bpf")) == "bpf!v!d"
 
+    def test_membership_and_hash(self):
+        sig = Signature(["b", "p"])
+        assert "b" in sig and "f" not in sig and "top" not in sig
+        assert hash(sig) == hash(Signature(["b", "p"])) == hash(("b", "p"))
+        assert len({sig, Signature(["b", "p"]), Signature(["p", "b"])}) == 2
+
+    def test_the_one_world_of_no_atoms(self):
+        sig = Signature([])
+        assert sig.render_world(0) == "-" and sig.render_worlds() == ["-"]
+
 
 class TestParser:
     def test_single_negation(self):
@@ -351,12 +361,13 @@ class TestMemo:
         assert sizes == [1, 2, 3, 1, 2, 3, 1, 2, 3]
 
     def test_bound_is_the_budget_over_two_masks(self):
-        # 10 atoms: two masks are 256 bytes, under the per-entry floor.
+        # A mask takes 4 bytes per 30-bit digit, as CPython stores an int.
+        # 10 atoms: two masks are 280 bytes, under the per-entry floor.
         assert Signature([f"a{i}" for i in range(10)]).cache_entries == (
             logic.CACHE_BYTES // logic.MIN_ENTRY_BYTES)
-        # 24 atoms: two masks of 2**24 bits are 4 MiB.
-        assert Signature([f"a{i}" for i in range(24)]).cache_entries == (
-            logic.CACHE_BYTES // (4 << 20))
+        # 24 atoms: two masks of 2**24 bits are 2 * 559,241 digits.
+        assert Signature([f"a{i}" for i in range(24)]).cache_entries == 29 == (
+            logic.CACHE_BYTES // (2 * 559_241 * 4))
 
 
 class TestInternedLiterals:
@@ -439,6 +450,15 @@ class TestValueSemantics:
         assert repr(PostulateReport("di", True)) == (
             "PostulateReport(postulate='di', passed=True, witness=None, "
             "search_bounds='')")
+
+    def test_formula_and_conditional_reprs_show_their_text(self):
+        sig = Signature(["a", "b"])
+        assert repr(parse_formula("a, !b", sig)) == "Formula(a,!b)"
+        assert repr(parse_conditional("(b;!a|a)", sig)) == "Conditional(b;!a|a)"
+
+    def test_text_of_a_non_node_is_refused(self):
+        with pytest.raises(TypeError, match="not a formula node: 'a'"):
+            _node_text("a")
 
     def test_copies_are_equal(self):
         values = [Top(), Conj((Var("a"), Neg(Var("b")))),

@@ -1,6 +1,6 @@
 """The postulate and lemma checks under injected faults.
 
-`check_tv` and `check_lemma1` are compared with the loops they replaced
+`check_tv` and the lemma checks are compared with the loops they replaced
 (`tests/oracles.py`), on plain and on faulted structures and engines. Each
 failure branch of the checks is driven by a fault, and its witness is
 replayed against the engines or structures it names.
@@ -29,17 +29,23 @@ from systemw import (
     parse_conditional,
     parse_formula,
 )
+from systemw.preferred import PreferredStructure
 from systemw.tolerance import TolerancePartition
 
 from oracles import (
+    group_of,
     random_layered_base,
     reference_check_lemma1,
+    reference_check_lemma2,
+    reference_check_lemma3,
+    reference_check_lemma4,
     reference_check_tv,
 )
 
 STRUCTURE = SyntaxSplitting.structure
 ENGINE = SyntaxSplitting.engine
 CONSEQUENCE = Engine.consequence
+BELOW = PreferredStructure.below
 
 
 def layered_split_base(seed: int) -> SyntaxSplitting:
@@ -178,6 +184,78 @@ def test_tv_matches_its_reference(monkeypatch, mode, fault):
     assert got.passed == (fault == "none")
 
 
+def perturb_relation(monkeypatch, spl, target, change):
+    """Rebind `PreferredStructure.below` so that the structure of the
+    conditional indices `target(spl)` (None for the base) puts below w the
+    worlds `change(cls, below)`, of w's class mask and the worlds truly
+    below it. The fault depends on w's class only, so the classes and cells
+    that the lemma checks ask once still share their answer."""
+    faulted = STRUCTURE(spl, target(spl))
+
+    def below(self, w):
+        got = BELOW(self, w)
+        return change(self.classes[self._class_id[w]][1], got) if self is faulted else got
+
+    monkeypatch.setattr(PreferredStructure, "below", below)
+
+
+BASE = lambda spl: None
+FIRST_SIDE = lambda spl: spl.views[0][0][1]
+SECOND_SIDE = lambda spl: spl.views[0][1][1]
+LAST_SIDE = lambda spl: spl.views[-1][1][1]
+lose_lowest = lambda cls, below: below & (below - 1)
+gain_own_class = lambda cls, below: below | (cls & -cls)
+
+
+RELATION_FAULTS = {
+    "base_loses_lowest": (BASE, lose_lowest),
+    "base_gains_own_class": (BASE, gain_own_class),
+    "first_side_loses_lowest": (FIRST_SIDE, lose_lowest),
+    "first_side_gains_own_class": (FIRST_SIDE, gain_own_class),
+    "second_side_loses_lowest": (SECOND_SIDE, lose_lowest),
+    "second_side_gains_own_class": (SECOND_SIDE, gain_own_class),
+    "last_side_loses_lowest": (LAST_SIDE, lose_lowest),
+}
+
+
+def lemma_splittings():
+    """`splittings()` and the detected splittings of random bases with three
+    or more parts."""
+    more = (detect_splitting(random_layered_base(seed, 6, 3, 2 + seed % 2))
+            for seed in range(12, 40))
+    return splittings() + [spl for spl in more if len(spl.parts) >= 3]
+
+
+LEMMAS = (
+    (check_lemma2, reference_check_lemma2),
+    (check_lemma3, reference_check_lemma3),
+    (check_lemma4, reference_check_lemma4),
+)
+
+
+def test_lemmas_2_to_4_match_their_references_under_relation_faults(monkeypatch):
+    spls = lemma_splittings()
+    assert {2, 3} <= {len(spl.parts) for spl in spls}
+    for spl in spls:
+        for check, reference in LEMMAS:
+            got, want = check(spl), reference(spl)
+            assert (got.line(), got.to_dict()) == (want.line(), want.to_dict())
+            assert got.passed
+    failed = {}  # lemma -> failing reports
+    for name, (target, change) in RELATION_FAULTS.items():
+        for spl in spls:
+            if not spl.views:
+                continue
+            perturb_relation(monkeypatch, spl, target, change)
+            for check, reference in LEMMAS:
+                got, want = check(spl), reference(spl)
+                assert (got.line(), got.to_dict()) == (want.line(), want.to_dict()), name
+                if not got.passed:
+                    failed[got.postulate] = failed.get(got.postulate, 0) + 1
+            monkeypatch.undo()
+    assert min(failed.get(f"lemma{k}", 0) for k in (2, 3, 4)) >= 10, failed
+
+
 # --- witness replays -------------------------------------------------------------
 
 
@@ -300,7 +378,7 @@ def test_lemma3_witness_is_related_under_a_side_only(example1, monkeypatch):
     sig = example1.signature
     w, w2 = (world_of(sig)[report.witness[k]] for k in ("world", "world2"))
     assert below(spl.structure(idx1), w, w2)
-    assert spl.scope(atoms2).group_of(w2) >> w & 1  # they agree on v and d
+    assert group_of(spl.scope(atoms2), w2) >> w & 1  # they agree on v and d
     assert not below(spl.structure(), w, w2)
 
 
@@ -316,4 +394,4 @@ def test_lemma4_witness_splits_a_marginal_class(example1, monkeypatch):
     wa, wb, w2 = (world_of(sig)[report.witness[k]] for k in ("world_a", "world_b", "world2"))
     ps = spl.structure(idx2)
     assert below(ps, wa, w2) and not below(ps, wb, w2)
-    assert spl.scope(atoms2).group_of(wa) >> wb & 1  # the same marginal on v, d
+    assert group_of(spl.scope(atoms2), wa) >> wb & 1  # the same marginal on v, d

@@ -34,7 +34,14 @@ from systemw.splitting import (
 )
 from systemw.tolerance import TolerancePartition
 
-from oracles import components, conjoin, node_mask, random_base, reference_check_lemma1
+from oracles import (
+    components,
+    conjoin,
+    node_mask,
+    random_base,
+    random_consistent_base,
+    reference_check_lemma1,
+)
 
 
 def cond_strs(base, idxs):
@@ -159,8 +166,6 @@ class TestPartScope:
         for s in range(len(scope.group_masks)):
             expected = sum(1 << w for w in range(sig.num_worlds) if marginal[w] == s)
             assert scope.group_masks[s] == expected
-        for w in range(sig.num_worlds):
-            assert scope.group_of(w) == scope.group_masks[marginal[w]]
         for t in data.draw(st.lists(st.integers(0, scope.full_sub), max_size=8)):
             # Recompute the mask from the tree instead of trusting formula(t).
             f = scope.formula(t)
@@ -307,6 +312,49 @@ class TestLemmas:
             for check in (check_lemma1, check_lemma2, check_lemma3, check_lemma4):
                 report = check(spl)
                 assert report.passed, f"seed={seed}: {report.line()}"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_classes_and_cells_lie_within_the_classes_they_fix(self, seed):
+        # The premises of asking lemmas 2-4 once per class or cell: each
+        # class of the base lies within one class of each side, and each
+        # non-empty cell, a side's class within one group of the other
+        # part, within one class of the base.
+        if seed % 2:
+            _, spl = generate_split_base(1 + seed % 3, 1 + seed // 3 % 3, seed)
+        else:
+            spl = detect_splitting(random_consistent_base(seed, 6, 4))
+        full = [m for _, m in spl.structure().classes]
+        within = lambda mask, classes: sum(mask & ~m == 0 for m in classes) == 1
+        for view in spl.views:
+            for (_, idxs), (other, _) in (view, view[::-1]):
+                side = [m for _, m in spl.structure(idxs).classes]
+                assert all(within(m, side) for m in full)
+                cells = [m & g for m in side for g in spl.scope(other).group_masks]
+                assert all(within(cell, full) for cell in cells if cell)
+
+    def test_below_is_asked_once_per_class_or_cell(self, monkeypatch):
+        below = PreferredStructure.below
+        asked = []
+
+        def counted(self, w):
+            asked.append(self)
+            return below(self, w)
+
+        monkeypatch.setattr(PreferredStructure, "below", counted)
+        _, spl = generate_split_base(3, 2, 5)
+        (atoms1, idx1), (atoms2, idx2) = spl.views[0]
+        ps, ps1, ps2 = (spl.structure(i) for i in (None, idx1, idx2))
+        num_classes = [len(p.classes) for p in (ps, ps1, ps2)]
+        cells1, cells2 = (sum(m & g != 0 for _, m in p.classes for g in spl.scope(o).group_masks)
+                          for p, o in ((ps1, atoms2), (ps2, atoms1)))
+        assert max(num_classes + [cells1, cells2]) < spl.base.signature.num_worlds
+        for check, want in (
+                (check_lemma2, {ps: num_classes[0], ps1: num_classes[0], ps2: num_classes[0]}),
+                (check_lemma3, {ps: cells1 + cells2, ps1: cells1, ps2: cells2}),
+                (check_lemma4, {ps1: num_classes[1], ps2: num_classes[2]})):
+            asked.clear()
+            assert check(spl).passed
+            assert {p: asked.count(p) for p in set(asked)} == want, check.__name__
 
 
 class TestDiTv:
