@@ -10,11 +10,13 @@ holds the views they compare and the scopes and engines they share.
 
 from __future__ import annotations
 
+import functools
 import random
 import string
 
 from .inference import Engine, InferenceMode
 from .logic import (
+    MAX_ATOMS,
     BeliefBase,
     Bot,
     Conditional,
@@ -519,20 +521,33 @@ LEMMA_CHECKS = {
 MAX_GENERATION_ATTEMPTS = 10_000
 
 
+@functools.lru_cache(maxsize=1)
+def _split_scopes(vars_per_part: int) -> tuple:
+    """(signature, atoms1, atoms2, scopes) of the generator's two parts.
+
+    The pair depends on the part size alone and nothing a case does changes
+    it, so every case of a run shares it. One pair is held: at 9 atoms per
+    part, the largest that builds, its group masks take 2 x 16 MiB.
+    """
+    atoms1 = tuple(string.ascii_lowercase[:vars_per_part])
+    atoms2 = tuple(string.ascii_lowercase[vars_per_part:2 * vars_per_part])
+    sig = Signature(atoms1 + atoms2)
+    return sig, atoms1, atoms2, (PartScope(sig, atoms1), PartScope(sig, atoms2))
+
+
 def generate_split_base(vars_per_part: int, conds_per_part: int, seed: int) -> tuple:
     """Deterministic consistent belief base with a built-in two-part splitting.
 
     Antecedents and consequents are drawn as non-trivial semantic formulas
     (neither tautology nor contradiction) over their part; inconsistent draws
-    are retried up to MAX_GENERATION_ATTEMPTS times.
+    are retried up to MAX_GENERATION_ATTEMPTS times. Every case of one part
+    size is drawn over the same signature and the same two scopes, kept
+    between calls; one pair is held at a time, 32 MiB at 9 atoms per part.
     """
-    if vars_per_part < 1 or 2 * vars_per_part > len(string.ascii_lowercase):
+    if vars_per_part < 1 or 2 * vars_per_part > MAX_ATOMS:
         raise ValueError("vars_per_part out of range")
     rng = random.Random(seed)
-    atoms1 = tuple(string.ascii_lowercase[:vars_per_part])
-    atoms2 = tuple(string.ascii_lowercase[vars_per_part:2 * vars_per_part])
-    sig = Signature(atoms1 + atoms2)
-    scopes = (PartScope(sig, atoms1), PartScope(sig, atoms2))
+    sig, atoms1, atoms2, scopes = _split_scopes(vars_per_part)
     for _ in range(MAX_GENERATION_ATTEMPTS):
         conds = []
         for scope in scopes:

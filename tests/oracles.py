@@ -7,7 +7,8 @@ that a faster version in the package replaced, kept as it was (the tree walk
 of formula masks, the pairwise class relation, the trie walk of the Hasse
 covers, the per-mode query code, the (TV) loop over formula pairs, lemma 1's
 partition rebuild, the per-world loops of lemmas 2-4, the recursive descent
-parser), and readers of the order exports.
+parser, the split-base generator that built its signature and scopes per
+call), and readers of the order exports.
 """
 
 from __future__ import annotations
@@ -622,6 +623,40 @@ def reference_check_lemma1(splitting):
                     search_bounds="partition comparison",
                 )
     return PostulateReport("lemma1", True, search_bounds="partition comparison")
+
+
+def reference_generate_split_base(vars_per_part: int, conds_per_part: int,
+                                  seed: int) -> tuple:
+    """`generate_split_base` as it was before it kept one signature and
+    scope pair per part size: both built afresh on every call."""
+    from systemw.splitting import (
+        MAX_GENERATION_ATTEMPTS,
+        GenerationError,
+        PartScope,
+        SyntaxSplitting,
+    )
+    from systemw.tolerance import tolerance_partition
+
+    if vars_per_part < 1 or 2 * vars_per_part > len(string.ascii_lowercase):
+        raise ValueError("vars_per_part out of range")
+    rng = random.Random(seed)
+    atoms1 = tuple(string.ascii_lowercase[:vars_per_part])
+    atoms2 = tuple(string.ascii_lowercase[vars_per_part:2 * vars_per_part])
+    sig = Signature(atoms1 + atoms2)
+    scopes = (PartScope(sig, atoms1), PartScope(sig, atoms2))
+    for _ in range(MAX_GENERATION_ATTEMPTS):
+        conds = []
+        for scope in scopes:
+            for _ in range(conds_per_part):
+                ta = rng.randrange(1, scope.full_sub)
+                tb = rng.randrange(1, scope.full_sub)
+                conds.append(Conditional(scope.formula(ta), scope.formula(tb)))
+        base = BeliefBase(sig, conds)
+        if tolerance_partition(base) is not None:
+            return base, SyntaxSplitting(base, (atoms1, atoms2), scopes)
+    raise GenerationError(
+        f"no consistent base found in {MAX_GENERATION_ATTEMPTS} attempts (seed={seed})"
+    )
 
 
 def group_of(scope, w: int) -> int:

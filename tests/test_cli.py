@@ -524,26 +524,42 @@ class TestFuzz:
         assert run(capsys, "fuzz", *argv) == (code, (GOLDEN / golden).read_text(), "")
 
     def test_splitting_reuses_the_generator_scopes(self, capsys, monkeypatch):
-        # The generator's scope of each part is the one its splitting hands
-        # to the checks: one scope per part and case.
-        scopes = Counter()
-        scope_init = PartScope.__init__
+        # The generator builds one scope per part and part size, kept between
+        # runs, and each case's splitting hands that scope to the checks.
+        scopes, splits = Counter(), []
+        scope_init, generate = PartScope.__init__, splitting.generate_split_base
 
         def count_scope(self, sig, atoms):
             scopes[tuple(atoms)] += 1
             scope_init(self, sig, atoms)
 
+        def keep_split(*args):
+            base, split = generate(*args)
+            splits.append(split)
+            return base, split
+
         monkeypatch.setattr(PartScope, "__init__", count_scope)
-        code, out, _ = run(capsys, "fuzz", "--vars", "2", "--conds", "2",
-                           "--checks", "synsplit,di,lemmas", "--cases", "40")
-        assert code == 0 and out.endswith("cases=40 failures=0\n")
-        assert scopes == {("a", "b"): 40, ("c", "d"): 40}
+        monkeypatch.setattr(splitting, "generate_split_base", keep_split)
+        splitting._split_scopes.cache_clear()
+        for _ in range(2):
+            code, out, _ = run(capsys, "fuzz", "--vars", "2", "--conds", "2",
+                               "--checks", "synsplit,di,lemmas", "--cases", "40")
+            assert code == 0 and out.endswith("cases=40 failures=0\n")
+        assert scopes == {("a", "b"): 1, ("c", "d"): 1}
+        kept = splitting._split_scopes(2)[3]
+        assert len(splits) == 80
+        assert all(split.scope(s.atoms) is s for split in splits for s in kept)
 
     def test_part_too_large_is_a_fault(self, capsys):
         # 12 + 24 atoms would need 2^36 bits of world masks.
         code, out, err = run(capsys, "fuzz", "--vars", "12", "--cases", "1")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "12-atom part" in err
+
+    def test_more_part_atoms_than_the_signature_cap_is_a_fault(self, capsys):
+        # Two 13-atom parts are 26 atoms, over the 24-atom signature cap.
+        code, out, err = run(capsys, "fuzz", "--vars", "13", "--cases", "1")
+        assert (code, out, err) == (1, "", "error: vars_per_part out of range\n")
 
     def test_tv_is_not_a_fuzz_check(self, capsys):
         code, out, err = run(capsys, "fuzz", "--checks", "tv", "--cases", "1")

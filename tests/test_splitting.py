@@ -41,6 +41,7 @@ from oracles import (
     random_base,
     random_consistent_base,
     reference_check_lemma1,
+    reference_generate_split_base,
 )
 
 
@@ -439,6 +440,19 @@ class TestGenerator:
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError):
             generate_split_base(0, 1, 0)
+
+    def test_kept_scopes_draw_what_fresh_scopes_draw(self):
+        # Part sizes interleave, so the one kept pair is dropped and rebuilt.
+        for n, vars_per_part in enumerate((2, 3, 1, 3, 2, 4)):
+            for conds in range(4):
+                for seed in (n, 17 + n, 1000 + 7 * n):
+                    base, spl = generate_split_base(vars_per_part, conds, seed)
+                    ref, ref_spl = reference_generate_split_base(vars_per_part, conds, seed)
+                    assert repr(base) == repr(ref)
+                    assert ([(c.falsification_mask, c.verification_mask) for c in base]
+                            == [(c.falsification_mask, c.verification_mask) for c in ref])
+                    assert (spl.parts, spl.conditional_parts) == (
+                        ref_spl.parts, ref_spl.conditional_parts)
 
 
 class TestViews:
