@@ -41,7 +41,7 @@ class BeliefBaseFormatError(ValueError):
     pass
 
 
-def load_belief_base(text: str) -> BeliefBase:
+def load_belief_base(text: str, warn=lambda w: print(f"warning: {w}")) -> BeliefBase:
     sig = None
     conditionals = []
     warnings = []
@@ -77,13 +77,13 @@ def load_belief_base(text: str) -> BeliefBase:
     base = BeliefBase(sig, conditionals)
     # stderr is reserved for faults (exit 1); warnings go to stdout
     for w in warnings:
-        print(f"warning: {w}")
+        warn(w)
     return base
 
 
-def _load_file(path: str) -> BeliefBase:
+def _load_file(path: str, **options) -> BeliefBase:
     with open(path, encoding="utf-8") as fh:
-        return load_belief_base(fh.read())
+        return load_belief_base(fh.read(), **options)
 
 
 def cmd_check(args) -> int:
@@ -174,19 +174,22 @@ def _check_names(text: str, allowed) -> list:
 
 
 def cmd_postulates(args) -> int:
-    base = _load_file(args.file)
+    if args.json:  # every stdout line is one JSON object, a warning too
+        import json
+        show = lambda record: print(json.dumps(record, sort_keys=True))
+        base = _load_file(args.file, warn=lambda w: show({"warning": w}))
+    else:
+        base = _load_file(args.file)
     mode = InferenceMode(args.mode)
     names = _check_names(args.checks, CHECKS)
     split = None if set(names) <= {"di", "tv"} else _splitting().detect_splitting(base)
     reports = []
     for name in names:
         reports += CHECKS[name](base, split, mode, args.bound, args.seed)
-    if args.json:
-        import json
-        for r in reports:
-            print(json.dumps(r.to_dict(), sort_keys=True))
-    else:
-        for r in reports:
+    for r in reports:
+        if args.json:
+            show(r.to_dict())
+        else:
             print(r.line())
     return EXIT_YES if all(r.passed for r in reports) else EXIT_NO
 

@@ -8,14 +8,10 @@ subset of the other's.
 
 The minimal worlds of a set are found by a descent from the top layer that
 needs only each layer's falsification masks; so are its worlds of the lowest
-system Z rank, which needs only each layer's union. The relation itself is
-kept per profile class, a (profile, world mask) pair; the class list and the
-index of every world's class are built on first use, by the profile and
-relation queries only. The classes are listed so that each comes after every
-class below it. One descent per class over the layers gives the worlds below
-and above it; the same descent run over classes instead of worlds gives the
-classes above it, and so its Hasse covers: the lowest class above it, then
-the lowest one not above that, and so on.
+system Z rank, which needs only each layer's union. The relation depends on
+profiles alone, so it is kept per profile class, built on first use by the
+profile and relation queries only: one descent over the layers per class, run
+over classes, gives the classes below and above each one.
 """
 
 from __future__ import annotations
@@ -33,26 +29,26 @@ _ONE = re.compile("1")
 
 def _bits(mask: int) -> list:
     """Positions of the set bits of `mask`, ascending. One scan of the binary
-    string: stripping the lowest bit repeatedly would copy a 2^n-bit mask
-    once per set bit."""
+    string: stripping the lowest bit repeatedly would copy a long mask once
+    per set bit."""
     return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
-def _descent(profiles: list, layers: list, full: int) -> tuple:
-    """Per profile, the members strictly below it and strictly above it.
-    `layers` lists, top layer first, (conditional index, members that falsify
-    it) pairs, and `full` is every member. From the top layer down, `same`
-    keeps the members whose falsified sets equal the profile's so far; of
-    these, those falsifying a subset of the profile's set at the next layer
-    are `sub`, a superset `sup`. A strict subset is below, a strict superset
-    above, any other set unrelated."""
+def _descent(keys: list, layers: list, full: int) -> tuple:
+    """Per class key, the classes strictly below it and strictly above it.
+    `layers` lists, top layer first, (key position, classes that falsify the
+    conditional there) pairs, and `full` is every class. From the top layer
+    down, `same` keeps the classes whose falsified sets equal the key's so
+    far; of these, those falsifying a subset of the key's set at the next
+    layer are `sub`, a superset `sup`. A strict subset is below, a strict
+    superset above, any other set unrelated."""
     down, up = [], []
-    for prof in profiles:
+    for key in keys:
         same, below, above = full, 0, 0
-        for x, layer in zip(reversed(prof), layers):
+        for layer in layers:
             outside, sup = 0, same
-            for i, f in layer:
-                if x >> i & 1:
+            for p, f in layer:
+                if key[p] == "1":
                     sup &= f
                 else:
                     outside |= f
@@ -65,17 +61,30 @@ def _descent(profiles: list, layers: list, full: int) -> tuple:
     return down, up
 
 
+def _hasse(up: list) -> list:
+    """Per class, the classes above it with none strictly between, from the
+    classes above each class of a list where each comes after every class
+    below it. The lowest class above a class is a cover, since a class
+    between would come before it; so is the lowest of those left once it and
+    the classes above it are dropped, and so on, one step per cover."""
+    covers = []
+    for above in up:
+        cover = 0
+        while above:
+            low = above & -above
+            cover |= low
+            above &= ~(low | up[low.bit_length() - 1])
+        covers.append(cover)
+    return covers
+
+
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
-    `minimal` and `lowest_rank` descend the tolerance layers. `classes`
-    lists the profile classes as (per-layer profile, world mask) pairs, in
-    lexicographic order of their falsified sets, top layer first: a class
-    comes after every class below it. It, the world-to-class index, the
-    relation between classes and the covers (one descent over the layers per
-    class, over worlds and over classes) are computed on first use. Every
-    query reads only the layer table that `__init__` builds from the base's
-    tolerance partition, computed once per base and shared by all its engines.
+    `minimal` and `lowest_rank` descend the tolerance layers; `class_index`
+    and `class_order` hold the order per profile class. Every query reads
+    only the layer table that `__init__` builds from the base's tolerance
+    partition, computed once per base and shared by all its engines.
     """
 
     def __init__(self, base: BeliefBase):
@@ -97,89 +106,61 @@ class PreferredStructure:
             self._layers.append((idx, fals, union))
 
     @cached_property
-    def classes(self) -> list:
-        """Split the worlds by each conditional in turn, top layer first,
-        those that avoid it before those that falsify it. A class below
-        another avoids a conditional the other falsifies at the first one
-        where they differ, so it comes first."""
-        classes = [((), self.signature.full_mask)]
-        for idx, masks, _ in self._layers:
-            split = [(prof, 0, m) for prof, m in classes]
-            for i, fals in zip(idx, masks):
-                bit = 1 << i
-                nxt = []
-                for prof, xi, m in split:
-                    hit = m & fals
-                    if hit != m:
-                        nxt.append((prof, xi, m ^ hit))
-                    if hit:
-                        nxt.append((prof, xi | bit, hit))
-                split = nxt
-            classes = [((xi,) + prof, m) for prof, xi, m in split]
-        return classes
-
-    @cached_property
-    def _class_id(self) -> array:
-        """The index in `classes` of every world's class, in one pass over
-        the worlds. A class is fixed by the set of conditionals its worlds
-        falsify: each conditional's mask, written as a string, gives one
-        character of that set per world."""
+    def class_index(self) -> tuple:
+        """(the class of each world, each class's key, each class's worlds
+        in ascending order), in one pass over the worlds. A class is fixed
+        by the set of conditionals its worlds falsify: each conditional's
+        mask, written as a string, gives one character of that set per
+        world, and a world's key is its characters, top layer first. Of two
+        keys, the one below avoids a conditional the other falsifies at the
+        first one where they differ, so sorting the keys lists each class
+        after every class below it."""
         num_worlds = self.signature.num_worlds
+        # Without conditionals, a column of zeros keeps the one class.
         columns = [format(f, f"0{num_worlds}b")[::-1]
-                   for _, fals, _ in self._layers for f in fals]
-        if not columns:
-            return array("I", bytes(4 * num_worlds))
-        index = {}
-        for c, (_, m) in enumerate(self.classes):
-            w = (m & -m).bit_length() - 1  # any world of the class
-            index[tuple([column[w] for column in columns])] = c
-        return array("I", map(index.__getitem__, zip(*columns)))
+                   for _, fals, _ in self._layers for f in fals] or ["0" * num_worlds]
+        keys = sorted(set(zip(*columns)))
+        number = {key: c for c, key in enumerate(keys)}
+        class_of = array("I", map(number.__getitem__, zip(*columns)))
+        members = [[] for _ in keys]
+        for w, c in enumerate(class_of):
+            members[c].append(w)
+        return class_of, keys, members
 
     @cached_property
-    def _relation(self) -> tuple:
-        """Per class, the worlds strictly below it and strictly above it."""
-        layers = [list(zip(idx, fals)) for idx, fals, _ in self._layers]
-        return _descent([prof for prof, _ in self.classes], layers,
-                        self.signature.full_mask)
+    def class_order(self) -> tuple:
+        """Per class, the classes strictly below it and strictly above it,
+        as masks over class indices: one descent over the classes, where
+        each conditional's set of falsifying classes is read off the keys."""
+        keys = self.class_index[1]
+        columns = enumerate(int("".join(col)[::-1], 2) for col in zip(*keys))
+        layers = [[next(columns) for _ in idx] for idx, _, _ in self._layers]
+        return _descent(keys, layers, (1 << len(keys)) - 1)
 
-    @cached_property
-    def _covers(self) -> list:
-        """Per class, the worlds above it with none strictly between. The
-        descent over classes gives the classes above each one. The lowest of
-        them is a cover, since a class between would come before it; so is
-        the lowest of those left once it and the classes above it are
-        dropped, and so on, one step per cover."""
-        classes = self.classes
-        members = [0] * len(self.base)  # per conditional, its classes
-        for c, (prof, _) in enumerate(classes):
-            bit = 1 << c
-            for x in prof:
-                while x:
-                    low = x & -x
-                    members[low.bit_length() - 1] |= bit
-                    x ^= low
-        layers = [[(i, members[i]) for i in idx] for idx, _, _ in self._layers]
-        _, up = _descent([prof for prof, _ in classes], layers,
-                         (1 << len(classes)) - 1)
-        cover_w = []
-        for above in up:
-            cover = 0
-            while above:
-                low = above & -above
-                d = low.bit_length() - 1
-                cover |= classes[d][1]
-                above &= ~(low | up[d])
-            cover_w.append(cover)
-        return cover_w
+    def _worlds(self, classes: int) -> list:
+        """The worlds of the classes of a mask, ascending."""
+        members = self.class_index[2]
+        worlds = []
+        for c in _bits(classes):
+            worlds += members[c]
+        worlds.sort()
+        return worlds
 
     # --- queries -------------------------------------------------------------
 
     def profile_bits(self, w: int) -> tuple:
-        return self.classes[self._class_id[w]][0]
+        """Per layer, bottom first, the conditionals that w falsifies."""
+        class_of, keys, _ = self.class_index
+        key = iter(keys[class_of[w]])
+        return tuple(sum(1 << i for i in idx if next(key) == "1")
+                     for idx, _, _ in self._layers)[::-1]
 
     def below(self, w: int) -> int:
-        """Bitmask of worlds strictly below w."""
-        return self._relation[0][self._class_id[w]]
+        """Bitmask of worlds strictly below w: one character per class says
+        whether it is below w's class, and one per world picks its class's."""
+        class_of, keys, _ = self.class_index
+        flags = format(self.class_order[0][class_of[w]], f"0{len(keys)}b")[::-1]
+        return int("".join(map(flags.__getitem__, class_of))[::-1], 2)
 
     def minimal(self, mask: int) -> int:
         """Worlds of `mask` with no world of `mask` strictly below them."""
@@ -241,8 +222,8 @@ class PreferredStructure:
 
     def pairs(self):
         """Yields all related pairs (w, w2) with w strictly below w2, sorted."""
-        up = [_bits(m) for m in self._relation[1]]
-        for w, c in enumerate(self._class_id):
+        up = [self._worlds(m) for m in self.class_order[1]]
+        for w, c in enumerate(self.class_index[0]):
             for w2 in up[c]:
                 yield (w, w2)
 
@@ -252,8 +233,9 @@ class PreferredStructure:
         lines = ["digraph preferred_structure {"]
         lines += [f'  w{w} [label="{label}"];'
                   for w, label in enumerate(self.signature.render_worlds())]
-        heads = [[f"  w{hi} -> w" for hi in _bits(m)] for m in self._covers]
-        for lo, c in enumerate(self._class_id):
+        heads = [[f"  w{hi} -> w" for hi in self._worlds(m)]
+                 for m in _hasse(self.class_order[1])]
+        for lo, c in enumerate(self.class_index[0]):
             if heads[c]:
                 tail = f"{lo};"
                 lines.append((tail + "\n").join(heads[c]) + tail)
@@ -266,8 +248,8 @@ class PreferredStructure:
         in a newline, so an empty relation yields nothing. Yields the rows of
         one world w at a time, so the whole text is never held at once."""
         labels = self.signature.render_worlds()
-        uppers = [[labels[w2] for w2 in _bits(m)] for m in self._relation[1]]
-        for w, c in enumerate(self._class_id):
+        uppers = [[labels[w2] for w2 in self._worlds(m)] for m in self.class_order[1]]
+        for w, c in enumerate(self.class_index[0]):
             if uppers[c]:
                 label = labels[w]
                 yield label + "\t" + ("\n" + label + "\t").join(uppers[c]) + "\n"

@@ -29,7 +29,7 @@ from .logic import (
     Top,
     Var,
 )
-from .preferred import PreferredStructure
+from .preferred import PreferredStructure, _bits
 from .tolerance import tolerance_partition
 
 
@@ -415,95 +415,112 @@ def check_lemma1(splitting: SyntaxSplitting) -> PostulateReport:
     return PostulateReport("lemma1", True, search_bounds=bounds)
 
 
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
+def _by_lowest(ps: PreferredStructure) -> list:
+    """The classes of a structure, in ascending order of their lowest world."""
+    members = ps.class_index[2]
+    return sorted(range(len(members)), key=lambda c: members[c][0])
 
 
-def _world_pair_witness(sig: Signature, viol: int, w2: int) -> dict:
-    return {"world": sig.render_world(_lowest(viol)), "world2": sig.render_world(w2)}
+def _side(splitting: SyntaxSplitting, idxs: frozenset) -> tuple:
+    """One side of a view, seen from the base's classes: per base class, its
+    side class, read at its lowest world; per side class, the base classes
+    within it, and those whose side class is below it under the side."""
+    side = splitting.structure(idxs)
+    class_of, keys, _ = side.class_index
+    of = [class_of[m[0]] for m in splitting.structure().class_index[2]]
+    within = [0] * len(keys)  # disjoint, so a sum of them is their union
+    for c, s in enumerate(of):
+        within[s] |= 1 << c
+    return of, within, [sum(map(within.__getitem__, _bits(below)))
+                        for below in side.class_order[0]]
 
 
-# Lemmas 2-4 ask `below` once per class or cell, at its lowest world, in
-# ascending order, so the first that fails holds the lowest failing world. A
-# class of the base lies within one class of each side, whose conditionals
-# are some of the base's; a cell, a side's class within one group of the
-# other part, lies within one class of the base, as the other side's
-# conditionals read only that part's atoms.
+def _lemma_report(name: str, sig: Signature, witness: dict | None = None,
+                  bounds: str = "exhaustive") -> PostulateReport:
+    return PostulateReport(name, witness is None, witness, f"worlds={sig.num_worlds} {bounds}")
+
+
+# Lemmas 2-4 ask once per class, in ascending order of its lowest world, so
+# the first that fails holds the lowest failing world: a side's class depends
+# on its own part's atoms alone, so the classes of a split base are pairs of
+# side classes, and each lemma holds for all worlds of a class or for none.
 
 
 def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
     """Every relation of the split base is already present under one sub-base."""
-    sig = splitting.base.signature
-    pairs = 0
-    for (_, idx1), (_, idx2) in splitting.views:
-        ps, ps1, ps2 = (splitting.structure(), splitting.structure(idx1),
-                        splitting.structure(idx2))
-        for w2, m in sorted((_lowest(m), m) for _, m in ps.classes):
-            below = ps.below(w2)
-            viol = below & ~(ps1.below(w2) | ps2.below(w2))
-            pairs += below.bit_count() * m.bit_count()
+    sig, ps, pairs = splitting.base.signature, splitting.structure(), 0
+    for (_, idx1), (_, idx2) in splitting.views:  # one part: no class is built
+        members, down, order = ps.class_index[2], ps.class_order[0], _by_lowest(ps)
+        (of1, _, lift1), (of2, _, lift2) = _side(splitting, idx1), _side(splitting, idx2)
+        # Bit b of each class's size, as a mask over classes, weighs the
+        # classes below one class in one AND per bit.
+        sizes = [len(m) for m in members]
+        planes = [int("".join(str(n >> b & 1) for n in reversed(sizes)), 2)
+                  for b in range(max(sizes).bit_length())]
+        for c in order:
+            below = down[c]
+            pairs += sizes[c] * sum((below & p).bit_count() << b for b, p in enumerate(planes))
+            viol = below & ~(lift1[of1[c]] | lift2[of2[c]])
             if viol:
-                return PostulateReport(
-                    "lemma2", False,
-                    witness=_world_pair_witness(sig, viol, w2),
-                    search_bounds=f"worlds={sig.num_worlds} exhaustive",
-                )
-    return PostulateReport(
-        "lemma2", True,
-        search_bounds=f"worlds={sig.num_worlds} related_pairs={pairs}",
-    )
+                w = min(members[d][0] for d in _bits(viol))
+                return _lemma_report("lemma2", sig, {
+                    "world": sig.render_world(w), "world2": sig.render_world(members[c][0])})
+    return _lemma_report("lemma2", sig, bounds=f"related_pairs={pairs}")
 
 
 def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
     """A sub-base relation between worlds agreeing on the other part carries
-    over to the full base."""
-    sig = splitting.base.signature
+    over to the full base. Two classes hold such worlds iff they share their
+    class under the other side, since each class of a side meets every group
+    of the other part's atoms."""
+    sig, ps = splitting.base.signature, splitting.structure()
     for (atoms1, idx1), (atoms2, idx2) in splitting.views:
-        ps = splitting.structure()
-        for idxs, other, tag in ((idx1, atoms2, "part1"), (idx2, atoms1, "part2")):
-            sub_ps, groups = splitting.structure(idxs), splitting.scope(other).group_masks
-            cells = sorted((_lowest(cell), same) for _, m in sub_ps.classes
-                           for same in groups if (cell := m & same))
-            for w2, same in cells:
-                viol = sub_ps.below(w2) & same & ~ps.below(w2)
+        members, down, order = ps.class_index[2], ps.class_order[0], _by_lowest(ps)
+        side1, side2 = _side(splitting, idx1), _side(splitting, idx2)
+        for (of, _, lift), (other_of, same, _), other, tag in (
+                (side1, side2, atoms2, "part1"), (side2, side1, atoms1, "part2")):
+            part = sum(1 << sig.index(a) for a in other)
+            for c in order:
+                viol = lift[of[c]] & same[other_of[c]] & ~down[c]
                 if viol:
-                    witness = _world_pair_witness(sig, viol, w2)
-                    witness["side"] = tag
-                    return PostulateReport(
-                        "lemma3", False, witness=witness,
-                        search_bounds=f"worlds={sig.num_worlds} exhaustive",
-                    )
-    return PostulateReport(
-        "lemma3", True, search_bounds=f"worlds={sig.num_worlds} exhaustive"
-    )
+                    w2 = members[c][0]
+                    w = min(next(w for w in members[d] if not (w ^ w2) & part)
+                            for d in _bits(viol))
+                    return _lemma_report("lemma3", sig, {
+                        "world": sig.render_world(w), "world2": sig.render_world(w2),
+                        "side": tag})
+    return _lemma_report("lemma3", sig)
 
 
 def check_lemma4(splitting: SyntaxSplitting) -> PostulateReport:
     """Whether a world sits below another under a sub-base depends only on its
     marginal over that sub-base's part: each marginal class lies either wholly
-    inside or wholly outside the set of worlds below any world."""
+    inside or wholly outside the set of worlds below any world. A relation
+    between classes splits no group of worlds that lies within one class, so
+    only the groups that meet two classes of the side's index can fail."""
     sig = splitting.base.signature
     for view in splitting.views:
         for (atoms, idxs), tag in zip(view, ("part1", "part2")):
-            sub_ps, scope = splitting.structure(idxs), splitting.scope(atoms)
-            for w2 in sorted(_lowest(m) for _, m in sub_ps.classes):
-                doms = sub_ps.below(w2)
-                for gm in scope.group_masks:
-                    inside = doms & gm
-                    if inside and inside != gm:
-                        return PostulateReport(
-                            "lemma4", False,
-                            witness={
-                                "world_a": sig.render_world(_lowest(inside)),
-                                "world_b": sig.render_world(_lowest(gm & ~doms)),
-                                "world2": sig.render_world(w2),
-                                "side": tag,
-                            },
-                            search_bounds=f"worlds={sig.num_worlds} exhaustive",
-                        )
-    return PostulateReport(
-        "lemma4", True, search_bounds=f"worlds={sig.num_worlds} exhaustive"
-    )
+            side = splitting.structure(idxs)
+            class_of, _, members = side.class_index
+            positions = [sig.index(a) for a in atoms]
+            part = sum(1 << p for p in positions)
+            # A group's lowest world is its part assignment g: a world of
+            # another class than g's puts its group in two classes.
+            split = {w & part for w, c in enumerate(class_of) if c != class_of[w & part]}
+            groups = sorted(([w for w in range(sig.num_worlds) if w & part == g] for g in split),
+                            key=lambda group: [group[0] >> p & 1 for p in reversed(positions)])
+            for c in _by_lowest(side) if groups else ():
+                below = side.class_order[0][c]
+                for group in groups:
+                    inside = [w for w in group if below >> class_of[w] & 1]
+                    outside = [w for w in group if not below >> class_of[w] & 1]
+                    if inside and outside:
+                        return _lemma_report("lemma4", sig, {
+                            "world_a": sig.render_world(inside[0]),
+                            "world_b": sig.render_world(outside[0]),
+                            "world2": sig.render_world(members[c][0]), "side": tag})
+    return _lemma_report("lemma4", sig)
 
 
 LEMMA_CHECKS = {

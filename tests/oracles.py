@@ -4,8 +4,8 @@ The oracles evaluate formulas by recursive AST walks over explicit truth
 assignments. Nothing in them touches the package's model-mask machinery, so
 they serve as oracles for it. The rest are references of another kind: code
 that a faster version in the package replaced, kept as it was (the tree walk
-of formula masks, the pairwise class relation, the trie walk of the Hasse
-covers, the per-mode query code, the (TV) loop over formula pairs, lemma 1's
+of formula masks, the class list split by one conditional at a time, the
+pairwise class relation, the trie walk of the Hasse covers, the per-mode query code, the (TV) loop over formula pairs, lemma 1's
 partition rebuild, the per-world loops of lemmas 2-4, the recursive descent
 parser, the split-base generator that built its signature and scopes per
 call), and readers of the order exports.
@@ -403,11 +403,34 @@ def set_bits(mask: int) -> list:
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def reference_classes(ps) -> list:
+    """The profile classes of a `PreferredStructure`, as (per-layer profile,
+    world mask) pairs, built as the package built its class list before the
+    class index: the worlds are split by each conditional in turn, top layer
+    first, those that avoid it before those that falsify it."""
+    classes = [((), ps.signature.full_mask)]
+    for layer in reversed(ps.partition.layers):
+        split = [(prof, 0, m) for prof, m in classes]
+        for i in sorted(layer):
+            fals = ps.base[i].falsification_mask
+            nxt = []
+            for prof, xi, m in split:
+                hit = m & fals
+                if hit != m:
+                    nxt.append((prof, xi, m ^ hit))
+                if hit:
+                    nxt.append((prof, xi | 1 << i, hit))
+            split = nxt
+        classes = [((xi,) + prof, m) for prof, xi, m in split]
+    return classes
+
+
 def reference_relation(ps) -> tuple:
     """The class relation of a `PreferredStructure`, by comparing every pair
-    of its classes: per class, the worlds strictly below it, strictly above
-    it and covering it (above it with no class strictly between)."""
-    classes = ps.classes
+    of its `reference_classes`: per class, the worlds strictly below it,
+    strictly above it and covering it (above it with no class strictly
+    between)."""
+    classes = reference_classes(ps)
     n = len(classes)
     down, up = [0] * n, [0] * n  # bitsets of class indices
     down_w, up_w, cover_w = [0] * n, [0] * n, [0] * n
@@ -460,10 +483,11 @@ def trie_covers(ps) -> list:
     siblings: a class between them would sit in one of the two or in a
     sibling between. It scales to bases where `reference_relation`'s
     comparison of every pair of classes does not."""
-    cover_w = [0] * len(ps.classes)
+    classes = reference_classes(ps)
+    cover_w = [0] * len(classes)
     # A trie node, built from the lowest layer up: (a profile of its classes,
     # the worlds of its classes minimal in it, its classes maximal in it).
-    nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(ps.classes)]
+    nodes = [(prof, m, [c]) for c, (prof, m) in enumerate(classes)]
     for j in range(len(ps.partition.layers)):
         groups = {}  # the children of each node of the next layer up
         for node in nodes:
@@ -494,9 +518,10 @@ def trie_covers(ps) -> list:
 
 
 def reference_class_id(ps) -> list:
-    """The index in `ps.classes` of every world's class, class by class."""
+    """The index in `reference_classes` of every world's class, class by
+    class."""
     class_id = [None] * ps.signature.num_worlds
-    for c, (_, m) in enumerate(ps.classes):
+    for c, (_, m) in enumerate(reference_classes(ps)):
         for w in set_bits(m):
             class_id[w] = c
     return class_id

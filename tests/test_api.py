@@ -44,6 +44,10 @@ REMOVED_METHODS = (
     (preferred.PreferredStructure, "compare"),
     (preferred.PreferredStructure, "hasse_edges"),
     (preferred.PreferredStructure, "above"),
+    (preferred.PreferredStructure, "classes"),
+    (preferred.PreferredStructure, "_class_id"),
+    (preferred.PreferredStructure, "_relation"),
+    (preferred.PreferredStructure, "_covers"),
     (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
     (splitting.PartScope, "group_of"),

@@ -365,6 +365,22 @@ class TestPostulates:
             assert r["verdict"] in ("pass", "fail")
             assert "search_bounds" in r
 
+    def test_json_load_warning_is_a_json_line(self, capsys, tmp_path):
+        # Text mode prints the warning as text; --json prints it as a record
+        # of its own, so that every stdout line parses.
+        p = tmp_path / "warn.cb"
+        p.write_text("signature: a, b\n(b|a)\n(b|a,!a)\n")
+        warning = ("line 3: conditional (b|a,!a) has an unsatisfiable antecedent; "
+                   "it can never be tolerated")
+        code, out, err = run(capsys, "postulates", str(p), "--checks", "tv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "warning: " + warning
+        code, out, err = run(capsys, "postulates", str(p), "--checks", "tv", "--json")
+        assert (code, err) == (0, "")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert records[0] == {"warning": warning}
+        assert [r["postulate"] for r in records[1:]] == ["tv"]
+
     def test_unknown_check_is_a_fault(self, capsys, example1_file):
         code, _, err = run(
             capsys, "postulates", example1_file, "--checks", "bogus"

@@ -406,15 +406,15 @@ def test_builds_share_the_conditionals_falsification_masks(example1):
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
-def test_w_queries_leave_the_class_list_unbuilt(base_seed, query_seed):
-    """A W build and its queries never build the profile classes; the profile
-    and relation queries build them on first use and match the definition."""
+def test_w_queries_leave_the_class_index_unbuilt(base_seed, query_seed):
+    """A W build and its queries never build the class index; the profile
+    and relation queries build it on first use and match the definition."""
     base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
     engine = Engine(base, InferenceMode.W)
     ps = engine.preferred_structure
     for a, b in random_queries(base, query_seed):
         engine.entails(a, b)
-    assert "classes" not in vars(ps)
+    assert "class_index" not in vars(ps)
     sig = base.signature
     layers = oracle_tolerance_partition(base)
     worlds = random.Random(query_seed).sample(range(sig.num_worlds),
@@ -425,7 +425,7 @@ def test_w_queries_leave_the_class_list_unbuilt(base_seed, query_seed):
             sum(1 << i for i in layer if oracle_falsifies(base[i], asg))
             for layer in layers
         )
-    assert "classes" in vars(ps)
+    assert "class_index" in vars(ps) and "class_order" not in vars(ps)
     below = {w: 0 for w in worlds}
     for w, w2 in oracle_w_preferred(base, range(sig.num_worlds)):
         if w2 in below:

@@ -11,6 +11,7 @@ from systemw import (
 )
 
 from systemw.cli import load_belief_base
+from systemw.preferred import _hasse
 
 from conftest import chain_text, world_bits
 from oracles import (
@@ -23,6 +24,7 @@ from oracles import (
     random_consistent_base,
     random_layered_base,
     reference_class_id,
+    reference_classes,
     reference_relation,
     set_bits,
     transitive_closure,
@@ -243,9 +245,9 @@ def test_profiles_same_before_and_after_relation(seed):
         return [[profile_less(p, q) for q in profiles] for p in profiles]
 
     before = order()
-    assert "_relation" not in vars(ps)  # the relation is not built yet
+    assert "class_order" not in vars(ps)  # the relation is not built yet
     ps.below(0)
-    assert "_relation" in vars(ps)
+    assert "class_order" in vars(ps)
     assert before == want and order() == want
 
 
@@ -268,15 +270,14 @@ def test_dot_edges_match_oracle(seed, vars_per_part):
 def test_classes_come_after_the_classes_below(seed, vars_per_part):
     """Every world below a class's worlds lies in a class listed before it,
     on bases of two or more layers and on generated split bases: the class
-    list is a linear extension of the order, which the covers rely on."""
+    index is a linear extension of the order, which the covers rely on."""
     bases = [random_layered_base(seed, max_atoms=7, max_conds=4, min_layers=2),
              generate_split_base(vars_per_part, 3, seed)[0]]
     for base in bases:
         ps = PreferredStructure(base)
-        class_id = ps._class_id
-        for c, (_, m) in enumerate(ps.classes):
-            w = (m & -m).bit_length() - 1  # any world of the class
-            assert all(class_id[w2] < c for w2 in set_bits(ps.below(w)))
+        class_of, _, members = ps.class_index
+        for c, worlds in enumerate(members):
+            assert all(class_of[w2] < c for w2 in set_bits(ps.below(worlds[0])))
 
 
 TRIE_BASES = (
@@ -295,7 +296,8 @@ def test_covers_match_trie(spec):
     else:
         base = generate_split_base(6, 6, spec)[0]
     ps = PreferredStructure(base)
-    assert ps._covers == trie_covers(ps)
+    covers = _hasse(ps.class_order[1])
+    assert [sum(1 << w for w in ps._worlds(m)) for m in covers] == trie_covers(ps)
 
 
 REFERENCE_BASES = (
@@ -308,9 +310,9 @@ REFERENCE_BASES = (
 
 @pytest.mark.parametrize("spec", REFERENCE_BASES)
 def test_relation_matches_pairwise_reference(spec):
-    """`below`, the tsv and the dot export, and the one-pass class index,
-    equal the comparison of every pair of classes and the class-by-class
-    index."""
+    """The one-pass class index equals the class list split by one
+    conditional at a time, and `below`, the tsv and the dot export equal the
+    comparison of every pair of its classes."""
     if isinstance(spec, str):
         base = load_belief_base(spec)
     elif spec[0] == "split":
@@ -319,8 +321,11 @@ def test_relation_matches_pairwise_reference(spec):
         base = random_layered_base(400 + spec[1], max_atoms=7, max_conds=5,
                                    min_layers=3)
     ps = PreferredStructure(base)
+    class_of, _, members = ps.class_index
+    assert [(ps.profile_bits(worlds[0]), sum(1 << w for w in worlds))
+            for worlds in members] == reference_classes(ps)
     class_id = reference_class_id(ps)
-    assert list(ps._class_id) == class_id
+    assert list(class_of) == class_id
     down_w, up_w, cover_w = reference_relation(ps)
     worlds = range(base.signature.num_worlds)
     assert [ps.below(w) for w in worlds] == [down_w[class_id[w]] for w in worlds]

@@ -24,7 +24,7 @@ from systemw import (
     parse_formula,
     tolerance_partition,
 )
-from systemw import splitting
+from systemw import preferred, splitting
 from systemw.logic import atoms_of
 from systemw.preferred import PreferredStructure
 from systemw.splitting import (
@@ -42,6 +42,7 @@ from oracles import (
     random_consistent_base,
     reference_check_lemma1,
     reference_generate_split_base,
+    set_bits,
 )
 
 
@@ -315,47 +316,51 @@ class TestLemmas:
                 assert report.passed, f"seed={seed}: {report.line()}"
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_classes_and_cells_lie_within_the_classes_they_fix(self, seed):
-        # The premises of asking lemmas 2-4 once per class or cell: each
-        # class of the base lies within one class of each side, and each
-        # non-empty cell, a side's class within one group of the other
-        # part, within one class of the base.
+    def test_classes_are_pairs_of_side_classes(self, seed):
+        # The premises of asking lemmas 2-4 once per class: each class of
+        # the base lies within one class of each side; each group of a
+        # side's part lies within one class of that side; and so each class
+        # of a side meets every group of the other part.
         if seed % 2:
             _, spl = generate_split_base(1 + seed % 3, 1 + seed // 3 % 3, seed)
         else:
             spl = detect_splitting(random_consistent_base(seed, 6, 4))
-        full = [m for _, m in spl.structure().classes]
-        within = lambda mask, classes: sum(mask & ~m == 0 for m in classes) == 1
+        members = spl.structure().class_index[2]
         for view in spl.views:
-            for (_, idxs), (other, _) in (view, view[::-1]):
-                side = [m for _, m in spl.structure(idxs).classes]
-                assert all(within(m, side) for m in full)
-                cells = [m & g for m in side for g in spl.scope(other).group_masks]
-                assert all(within(cell, full) for cell in cells if cell)
+            for (atoms, idxs), (other, _) in (view, view[::-1]):
+                side_of, _, side_members = spl.structure(idxs).class_index
+                assert all(len({side_of[w] for w in ws}) == 1 for ws in members)
+                groups = spl.scope(atoms).group_masks
+                assert all(len({side_of[w] for w in set_bits(g)}) == 1 for g in groups)
+                classes = [sum(1 << w for w in ws) for ws in side_members]
+                assert all(m & g for m in classes for g in spl.scope(other).group_masks)
 
-    def test_below_is_asked_once_per_class_or_cell(self, monkeypatch):
-        below = PreferredStructure.below
-        asked = []
+    def test_lemmas_descend_once_per_structure_and_never_ask_below(self, monkeypatch):
+        descents, asked = [], []
+        descent, below = preferred._descent, PreferredStructure.below
 
-        def counted(self, w):
-            asked.append(self)
+        def counted_descent(*args):
+            descents.append(args)
+            return descent(*args)
+
+        def counted_below(self, w):
+            asked.append(w)
             return below(self, w)
 
-        monkeypatch.setattr(PreferredStructure, "below", counted)
+        monkeypatch.setattr(preferred, "_descent", counted_descent)
+        monkeypatch.setattr(PreferredStructure, "below", counted_below)
         _, spl = generate_split_base(3, 2, 5)
-        (atoms1, idx1), (atoms2, idx2) = spl.views[0]
-        ps, ps1, ps2 = (spl.structure(i) for i in (None, idx1, idx2))
-        num_classes = [len(p.classes) for p in (ps, ps1, ps2)]
-        cells1, cells2 = (sum(m & g != 0 for _, m in p.classes for g in spl.scope(o).group_masks)
-                          for p, o in ((ps1, atoms2), (ps2, atoms1)))
-        assert max(num_classes + [cells1, cells2]) < spl.base.signature.num_worlds
-        for check, want in (
-                (check_lemma2, {ps: num_classes[0], ps1: num_classes[0], ps2: num_classes[0]}),
-                (check_lemma3, {ps: cells1 + cells2, ps1: cells1, ps2: cells2}),
-                (check_lemma4, {ps1: num_classes[1], ps2: num_classes[2]})):
-            asked.clear()
+        for check in (check_lemma2, check_lemma3, check_lemma4):
             assert check(spl).passed
-            assert {p: asked.count(p) for p in set(asked)} == want, check.__name__
+        assert len(descents) == 3  # the base and its two sides
+        assert asked == []
+        # A base of one part has no view to compare: nothing is built.
+        sig = Signature(["a", "b"])
+        spl = detect_splitting(BeliefBase(sig, [parse_conditional("(b|a)", sig)]))
+        assert spl.views == ()
+        for check in (check_lemma2, check_lemma3, check_lemma4):
+            assert check(spl).passed
+        assert len(descents) == 3 and "class_index" not in vars(spl.structure())
 
 
 class TestDiTv:
