@@ -11,7 +11,8 @@ needs only each layer's falsification masks; so are its worlds of the lowest
 system Z rank, which needs only each layer's union. The relation depends on
 profiles alone, so it is kept per profile class, built on first use by the
 profile and relation queries only: one descent over the layers per class, run
-over classes, gives the classes below and above each one.
+over classes, yields the classes below and above each one. `class_below`
+keeps the classes below, and the exports read the classes above as they come.
 """
 
 from __future__ import annotations
@@ -32,33 +33,6 @@ def _bits(mask: int) -> list:
     string: stripping the lowest bit repeatedly would copy a long mask once
     per set bit."""
     return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
-
-
-def _descent(keys: list, layers: list, full: int) -> tuple:
-    """Per class key, the classes strictly below it and strictly above it.
-    `layers` lists, top layer first, (key position, classes that falsify the
-    conditional there) pairs, and `full` is every class. From the top layer
-    down, `same` keeps the classes whose falsified sets equal the key's so
-    far; of these, those falsifying a subset of the key's set at the next
-    layer are `sub`, a superset `sup`. A strict subset is below, a strict
-    superset above, any other set unrelated."""
-    down, up = [], []
-    for key in keys:
-        same, below, above = full, 0, 0
-        for layer in layers:
-            outside, sup = 0, same
-            for p, f in layer:
-                if key[p] == "1":
-                    sup &= f
-                else:
-                    outside |= f
-            sub = same & ~outside
-            same = sub & sup
-            below |= sub ^ same
-            above |= sup ^ same
-        down.append(below)
-        up.append(above)
-    return down, up
 
 
 def _hasse(up: list) -> list:
@@ -82,7 +56,7 @@ class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
     `minimal` and `lowest_rank` descend the tolerance layers; `class_index`
-    and `class_order` hold the order per profile class. Every query reads
+    and `class_below` hold the order per profile class. Every query reads
     only the layer table that `__init__` builds from the base's tolerance
     partition, computed once per base and shared by all its engines.
     """
@@ -127,15 +101,36 @@ class PreferredStructure:
             members[c].append(w)
         return class_of, keys, members
 
-    @cached_property
-    def class_order(self) -> tuple:
-        """Per class, the classes strictly below it and strictly above it,
-        as masks over class indices: one descent over the classes, where
-        each conditional's set of falsifying classes is read off the keys."""
+    def _descent(self):
+        """Per class, in class-index order, the classes strictly below and
+        above it as masks over class indices, each conditional's falsifying
+        classes read off the keys. From the top layer down, `same` keeps the
+        classes whose falsified sets equal the key's so far; of these, those
+        falsifying a subset of the key's set at the next layer are `sub`, a
+        superset `sup`. A strict subset is below, a strict superset above."""
         keys = self.class_index[1]
         columns = enumerate(int("".join(col)[::-1], 2) for col in zip(*keys))
         layers = [[next(columns) for _ in idx] for idx, _, _ in self._layers]
-        return _descent(keys, layers, (1 << len(keys)) - 1)
+        full = (1 << len(keys)) - 1
+        for key in keys:
+            same, below, above = full, 0, 0
+            for layer in layers:
+                outside, sup = 0, same
+                for p, f in layer:
+                    if key[p] == "1":
+                        sup &= f
+                    else:
+                        outside |= f
+                sub = same & ~outside
+                same = sub & sup
+                below |= sub ^ same
+                above |= sup ^ same
+            yield below, above
+
+    @cached_property
+    def class_below(self) -> list:
+        """Per class, the classes strictly below it: the descent's first half."""
+        return [below for below, _ in self._descent()]
 
     def _worlds(self, classes: int) -> list:
         """The worlds of the classes of a mask, ascending."""
@@ -146,12 +141,17 @@ class PreferredStructure:
         worlds.sort()
         return worlds
 
+    def _class(self, w: int) -> int:
+        """The class of world w; a ValueError if w is not a world."""
+        if not 0 <= w < self.signature.num_worlds:
+            raise ValueError(f"world {w} out of range 0..{self.signature.num_worlds - 1}")
+        return self.class_index[0][w]
+
     # --- queries -------------------------------------------------------------
 
     def profile_bits(self, w: int) -> tuple:
         """Per layer, bottom first, the conditionals that w falsifies."""
-        class_of, keys, _ = self.class_index
-        key = iter(keys[class_of[w]])
+        key = iter(self.class_index[1][self._class(w)])
         return tuple(sum(1 << i for i in idx if next(key) == "1")
                      for idx, _, _ in self._layers)[::-1]
 
@@ -159,7 +159,7 @@ class PreferredStructure:
         """Bitmask of worlds strictly below w: one character per class says
         whether it is below w's class, and one per world picks its class's."""
         class_of, keys, _ = self.class_index
-        flags = format(self.class_order[0][class_of[w]], f"0{len(keys)}b")[::-1]
+        flags = format(self.class_below[self._class(w)], f"0{len(keys)}b")[::-1]
         return int("".join(map(flags.__getitem__, class_of))[::-1], 2)
 
     def minimal(self, mask: int) -> int:
@@ -222,7 +222,7 @@ class PreferredStructure:
 
     def pairs(self):
         """Yields all related pairs (w, w2) with w strictly below w2, sorted."""
-        up = [self._worlds(m) for m in self.class_order[1]]
+        up = [self._worlds(above) for _, above in self._descent()]
         for w, c in enumerate(self.class_index[0]):
             for w2 in up[c]:
                 yield (w, w2)
@@ -234,7 +234,7 @@ class PreferredStructure:
         lines += [f'  w{w} [label="{label}"];'
                   for w, label in enumerate(self.signature.render_worlds())]
         heads = [[f"  w{hi} -> w" for hi in self._worlds(m)]
-                 for m in _hasse(self.class_order[1])]
+                 for m in _hasse([above for _, above in self._descent()])]
         for lo, c in enumerate(self.class_index[0]):
             if heads[c]:
                 tail = f"{lo};"
@@ -248,7 +248,7 @@ class PreferredStructure:
         in a newline, so an empty relation yields nothing. Yields the rows of
         one world w at a time, so the whole text is never held at once."""
         labels = self.signature.render_worlds()
-        uppers = [[labels[w2] for w2 in self._worlds(m)] for m in self.class_order[1]]
+        uppers = [[labels[w2] for w2 in self._worlds(above)] for _, above in self._descent()]
         for w, c in enumerate(self.class_index[0]):
             if uppers[c]:
                 label = labels[w]

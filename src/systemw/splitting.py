@@ -432,7 +432,7 @@ def _side(splitting: SyntaxSplitting, idxs: frozenset) -> tuple:
     for c, s in enumerate(of):
         within[s] |= 1 << c
     return of, within, [sum(map(within.__getitem__, _bits(below)))
-                        for below in side.class_order[0]]
+                        for below in side.class_below]
 
 
 def _lemma_report(name: str, sig: Signature, witness: dict | None = None,
@@ -450,7 +450,7 @@ def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
     """Every relation of the split base is already present under one sub-base."""
     sig, ps, pairs = splitting.base.signature, splitting.structure(), 0
     for (_, idx1), (_, idx2) in splitting.views:  # one part: no class is built
-        members, down, order = ps.class_index[2], ps.class_order[0], _by_lowest(ps)
+        members, down, order = ps.class_index[2], ps.class_below, _by_lowest(ps)
         (of1, _, lift1), (of2, _, lift2) = _side(splitting, idx1), _side(splitting, idx2)
         # Bit b of each class's size, as a mask over classes, weighs the
         # classes below one class in one AND per bit.
@@ -475,7 +475,7 @@ def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
     of the other part's atoms."""
     sig, ps = splitting.base.signature, splitting.structure()
     for (atoms1, idx1), (atoms2, idx2) in splitting.views:
-        members, down, order = ps.class_index[2], ps.class_order[0], _by_lowest(ps)
+        members, down, order = ps.class_index[2], ps.class_below, _by_lowest(ps)
         side1, side2 = _side(splitting, idx1), _side(splitting, idx2)
         for (of, _, lift), (other_of, same, _), other, tag in (
                 (side1, side2, atoms2, "part1"), (side2, side1, atoms1, "part2")):
@@ -511,7 +511,7 @@ def check_lemma4(splitting: SyntaxSplitting) -> PostulateReport:
             groups = sorted(([w for w in range(sig.num_worlds) if w & part == g] for g in split),
                             key=lambda group: [group[0] >> p & 1 for p in reversed(positions)])
             for c in _by_lowest(side) if groups else ():
-                below = side.class_order[0][c]
+                below = side.class_below[c]
                 for group in groups:
                     inside = [w for w in group if below >> class_of[w] & 1]
                     outside = [w for w in group if not below >> class_of[w] & 1]

@@ -48,6 +48,7 @@ REMOVED_METHODS = (
     (preferred.PreferredStructure, "_class_id"),
     (preferred.PreferredStructure, "_relation"),
     (preferred.PreferredStructure, "_covers"),
+    (preferred.PreferredStructure, "class_order"),
     (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
     (splitting.PartScope, "group_of"),

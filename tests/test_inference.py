@@ -425,7 +425,7 @@ def test_w_queries_leave_the_class_index_unbuilt(base_seed, query_seed):
             sum(1 << i for i in layer if oracle_falsifies(base[i], asg))
             for layer in layers
         )
-    assert "class_index" in vars(ps) and "class_order" not in vars(ps)
+    assert "class_index" in vars(ps) and "class_below" not in vars(ps)
     below = {w: 0 for w in worlds}
     for w, w2 in oracle_w_preferred(base, range(sig.num_worlds)):
         if w2 in below:

@@ -189,9 +189,8 @@ def perturb_relation(monkeypatch, spl, target, change):
     `change(c, below)`, of the classes truly below it. `below(w)` reads the
     same relation, so the references see the fault too."""
     faulted = STRUCTURE(spl, target(spl))
-    down, up = faulted.class_order
-    monkeypatch.setattr(faulted, "class_order",
-                        ([change(c, m) for c, m in enumerate(down)], up))
+    monkeypatch.setattr(faulted, "class_below",
+                        [change(c, m) for c, m in enumerate(faulted.class_below)])
 
 
 def move_a_world(monkeypatch, spl, target):

@@ -68,6 +68,17 @@ class TestXiProfile:
         prof = PreferredStructure(base).profile_bits(0)
         assert prof == () and falsified(base, 0) == set()
 
+    def test_worlds_outside_the_signature_are_rejected(self, example1_order):
+        # Example 1 has 32 worlds: -1 would read world 31's class, and 32
+        # would index past the class array.
+        n = example1_order.signature.num_worlds
+        assert n == 32
+        for w in (-1, n):
+            for query in (example1_order.below, example1_order.profile_bits):
+                with pytest.raises(ValueError, match=rf"^world {w} out of range 0\.\.31$"):
+                    query(w)
+        example1_order.profile_bits(0), example1_order.below(n - 1)  # both ends are worlds
+
 
 class TestOrderOnWorlds:
     def test_clean_below_heavy(self, example1, example1_order):
@@ -245,9 +256,9 @@ def test_profiles_same_before_and_after_relation(seed):
         return [[profile_less(p, q) for q in profiles] for p in profiles]
 
     before = order()
-    assert "class_order" not in vars(ps)  # the relation is not built yet
+    assert "class_below" not in vars(ps)  # the relation is not built yet
     ps.below(0)
-    assert "class_order" in vars(ps)
+    assert "class_below" in vars(ps)
     assert before == want and order() == want
 
 
@@ -280,6 +291,25 @@ def test_classes_come_after_the_classes_below(seed, vars_per_part):
             assert all(class_of[w2] < c for w2 in set_bits(ps.below(worlds[0])))
 
 
+@given(st.integers(0, 10**6), st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_descent_halves_are_transposes(seed, vars_per_part):
+    """The above masks the descent yields are exactly the transpose of
+    `class_below`, on random, layered and generated split bases of up to 8
+    atoms; the exports, which read only the above masks, leave `class_below`
+    unbuilt."""
+    bases = [random_consistent_base(seed, max_atoms=8, max_conds=6),
+             random_layered_base(seed, max_atoms=8, max_conds=4, min_layers=2),
+             generate_split_base(vars_per_part, 3, seed)[0]]
+    for base in bases:
+        ps = PreferredStructure(base)
+        ps.to_dot(), list(ps.to_tsv()), list(ps.pairs())
+        assert "class_below" not in vars(ps)
+        up, down = [above for _, above in ps._descent()], ps.class_below
+        assert up == [sum(1 << c for c, below in enumerate(down) if below >> d & 1)
+                      for d in range(len(down))]
+
+
 TRIE_BASES = (
     [pytest.param(chain_text(n), id=f"chain{n}") for n in (13, 14)]
     + [pytest.param(s, id=f"split6x6-{s}") for s in range(6)]
@@ -296,7 +326,7 @@ def test_covers_match_trie(spec):
     else:
         base = generate_split_base(6, 6, spec)[0]
     ps = PreferredStructure(base)
-    covers = _hasse(ps.class_order[1])
+    covers = _hasse([above for _, above in ps._descent()])
     assert [sum(1 << w for w in ps._worlds(m)) for m in covers] == trie_covers(ps)
 
 

@@ -24,7 +24,7 @@ from systemw import (
     parse_formula,
     tolerance_partition,
 )
-from systemw import preferred, splitting
+from systemw import splitting
 from systemw.logic import atoms_of
 from systemw.preferred import PreferredStructure
 from systemw.splitting import (
@@ -337,17 +337,17 @@ class TestLemmas:
 
     def test_lemmas_descend_once_per_structure_and_never_ask_below(self, monkeypatch):
         descents, asked = [], []
-        descent, below = preferred._descent, PreferredStructure.below
+        descent, below = PreferredStructure._descent, PreferredStructure.below
 
-        def counted_descent(*args):
-            descents.append(args)
-            return descent(*args)
+        def counted_descent(self):
+            descents.append(self)
+            return descent(self)
 
         def counted_below(self, w):
             asked.append(w)
             return below(self, w)
 
-        monkeypatch.setattr(preferred, "_descent", counted_descent)
+        monkeypatch.setattr(PreferredStructure, "_descent", counted_descent)
         monkeypatch.setattr(PreferredStructure, "below", counted_below)
         _, spl = generate_split_base(3, 2, 5)
         for check in (check_lemma2, check_lemma3, check_lemma4):
