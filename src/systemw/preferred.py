@@ -9,10 +9,10 @@ subset of the other's.
 The minimal worlds of a set are found by a descent from the top layer that
 needs only each layer's falsification masks; so are its worlds of the lowest
 system Z rank, which needs only each layer's union. The relation depends on
-profiles alone, so it is kept per profile class, built on first use by the
-profile and relation queries only: one descent over the layers per class, run
-over classes, yields the classes below and above each one. `class_below`
-keeps the classes below, and the exports read the classes above as they come.
+profiles alone, so it is read per profile class, over the class index that
+the profile and relation queries build on first use: one descent over the
+layers per class yields the classes below and above it. Nothing holds the
+relation; each reader takes the masks of the classes it asks as they come.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _hasse(up: list) -> list:
 class PreferredStructure:
     """Queryable strict partial order on the worlds of a belief base.
 
-    `minimal` and `lowest_rank` descend the tolerance layers; `class_index`
-    and `class_below` hold the order per profile class. Every query reads
+    `minimal` and `lowest_rank` descend the tolerance layers; `_descent`
+    yields the order over the classes of `class_index`. Every query reads
     only the layer table that `__init__` builds from the base's tolerance
     partition, computed once per base and shared by all its engines.
     """
@@ -101,18 +101,19 @@ class PreferredStructure:
             members[c].append(w)
         return class_of, keys, members
 
-    def _descent(self):
-        """Per class, in class-index order, the classes strictly below and
-        above it as masks over class indices, each conditional's falsifying
-        classes read off the keys. From the top layer down, `same` keeps the
-        classes whose falsified sets equal the key's so far; of these, those
-        falsifying a subset of the key's set at the next layer are `sub`, a
-        superset `sup`. A strict subset is below, a strict superset above."""
+    def _descent(self, classes=None):
+        """Per class of `classes` in turn (by default every class in index
+        order), the classes strictly below and above it as masks over class
+        indices, each conditional's falsifying classes read off the keys. From
+        the top layer down, `same` keeps the classes whose falsified sets equal
+        the key's so far; of these, those falsifying a subset of the key's set
+        at the next layer are `sub`, a superset `sup`. A strict subset is
+        below, a strict superset above."""
         keys = self.class_index[1]
         columns = enumerate(int("".join(col)[::-1], 2) for col in zip(*keys))
         layers = [[next(columns) for _ in idx] for idx, _, _ in self._layers]
         full = (1 << len(keys)) - 1
-        for key in keys:
+        for key in keys if classes is None else map(keys.__getitem__, classes):
             same, below, above = full, 0, 0
             for layer in layers:
                 outside, sup = 0, same
@@ -126,11 +127,6 @@ class PreferredStructure:
                 below |= sub ^ same
                 above |= sup ^ same
             yield below, above
-
-    @cached_property
-    def class_below(self) -> list:
-        """Per class, the classes strictly below it: the descent's first half."""
-        return [below for below, _ in self._descent()]
 
     def _worlds(self, classes: int) -> list:
         """The worlds of the classes of a mask, ascending."""
@@ -156,10 +152,10 @@ class PreferredStructure:
                      for idx, _, _ in self._layers)[::-1]
 
     def below(self, w: int) -> int:
-        """Bitmask of worlds strictly below w: one character per class says
-        whether it is below w's class, and one per world picks its class's."""
+        """Bitmask of worlds strictly below w, from w's class's descent: one
+        character per class says whether it is below, one per world picks it."""
         class_of, keys, _ = self.class_index
-        flags = format(self.class_below[self._class(w)], f"0{len(keys)}b")[::-1]
+        flags = format(next(self._descent([self._class(w)]))[0], f"0{len(keys)}b")[::-1]
         return int("".join(map(flags.__getitem__, class_of))[::-1], 2)
 
     def minimal(self, mask: int) -> int:

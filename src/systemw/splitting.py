@@ -432,7 +432,7 @@ def _side(splitting: SyntaxSplitting, idxs: frozenset) -> tuple:
     for c, s in enumerate(of):
         within[s] |= 1 << c
     return of, within, [sum(map(within.__getitem__, _bits(below)))
-                        for below in side.class_below]
+                        for below, _ in side._descent()]
 
 
 def _lemma_report(name: str, sig: Signature, witness: dict | None = None,
@@ -444,28 +444,36 @@ def _lemma_report(name: str, sig: Signature, witness: dict | None = None,
 # the first that fails holds the lowest failing world: a side's class depends
 # on its own part's atoms alone, so the classes of a split base are pairs of
 # side classes, and each lemma holds for all worlds of a class or for none.
+# Lemmas 2 and 3 ask every view in one descent of the base, keep each check's
+# first failure and report the first check's, as one view at a time would.
 
 
 def check_lemma2(splitting: SyntaxSplitting) -> PostulateReport:
     """Every relation of the split base is already present under one sub-base."""
-    sig, ps, pairs = splitting.base.signature, splitting.structure(), 0
-    for (_, idx1), (_, idx2) in splitting.views:  # one part: no class is built
-        members, down, order = ps.class_index[2], ps.class_below, _by_lowest(ps)
-        (of1, _, lift1), (of2, _, lift2) = _side(splitting, idx1), _side(splitting, idx2)
-        # Bit b of each class's size, as a mask over classes, weighs the
-        # classes below one class in one AND per bit.
-        sizes = [len(m) for m in members]
-        planes = [int("".join(str(n >> b & 1) for n in reversed(sizes)), 2)
-                  for b in range(max(sizes).bit_length())]
-        for c in order:
-            below = down[c]
-            pairs += sizes[c] * sum((below & p).bit_count() << b for b, p in enumerate(planes))
+    sig, ps, views = splitting.base.signature, splitting.structure(), splitting.views
+    if not views:  # one part: no class is built
+        return _lemma_report("lemma2", sig, bounds="related_pairs=0")
+    members, order, pairs, first = ps.class_index[2], _by_lowest(ps), 0, {}
+    sides = [_side(splitting, idx1) + _side(splitting, idx2) for (_, idx1), (_, idx2) in views]
+    # Bit b of each class's size, as a mask over classes, weighs the classes
+    # below one class in one AND per bit.
+    sizes = [len(m) for m in members]
+    planes = [int("".join(str(n >> b & 1) for n in reversed(sizes)), 2)
+              for b in range(max(sizes).bit_length())]
+    for c, (below, _) in zip(order, ps._descent(order)):
+        pairs += sizes[c] * sum((below & p).bit_count() << b for b, p in enumerate(planes))
+        for v, (of1, _, lift1, of2, _, lift2) in enumerate(sides):
             viol = below & ~(lift1[of1[c]] | lift2[of2[c]])
-            if viol:
-                w = min(members[d][0] for d in _bits(viol))
-                return _lemma_report("lemma2", sig, {
-                    "world": sig.render_world(w), "world2": sig.render_world(members[c][0])})
-    return _lemma_report("lemma2", sig, bounds=f"related_pairs={pairs}")
+            if viol and v not in first:
+                first[v] = c, viol
+        if 0 in first:
+            break
+    if first:
+        c, viol = first[min(first)]
+        w = min(members[d][0] for d in _bits(viol))
+        return _lemma_report("lemma2", sig, {
+            "world": sig.render_world(w), "world2": sig.render_world(members[c][0])})
+    return _lemma_report("lemma2", sig, bounds=f"related_pairs={pairs * len(views)}")
 
 
 def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
@@ -473,22 +481,24 @@ def check_lemma3(splitting: SyntaxSplitting) -> PostulateReport:
     over to the full base. Two classes hold such worlds iff they share their
     class under the other side, since each class of a side meets every group
     of the other part's atoms."""
-    sig, ps = splitting.base.signature, splitting.structure()
+    sig, ps, checks, first = splitting.base.signature, splitting.structure(), [], {}
     for (atoms1, idx1), (atoms2, idx2) in splitting.views:
-        members, down, order = ps.class_index[2], ps.class_below, _by_lowest(ps)
         side1, side2 = _side(splitting, idx1), _side(splitting, idx2)
-        for (of, _, lift), (other_of, same, _), other, tag in (
-                (side1, side2, atoms2, "part1"), (side2, side1, atoms1, "part2")):
-            part = sum(1 << sig.index(a) for a in other)
-            for c in order:
-                viol = lift[of[c]] & same[other_of[c]] & ~down[c]
-                if viol:
-                    w2 = members[c][0]
-                    w = min(next(w for w in members[d] if not (w ^ w2) & part)
-                            for d in _bits(viol))
-                    return _lemma_report("lemma3", sig, {
-                        "world": sig.render_world(w), "world2": sig.render_world(w2),
-                        "side": tag})
+        checks += [(atoms2, "part1") + side1 + side2, (atoms1, "part2") + side2 + side1]
+    order = _by_lowest(ps) if checks else []  # one part: no class is built
+    for c, (below, _) in zip(order, ps._descent(order)):
+        for n, (_, _, of, _, lift, other_of, same, _) in enumerate(checks):
+            viol = lift[of[c]] & same[other_of[c]] & ~below
+            if viol and n not in first:
+                first[n] = (c, viol) + checks[n][:2]
+        if 0 in first:
+            break
+    if first:
+        (c, viol, other, tag), members = first[min(first)], ps.class_index[2]
+        w2, part = members[c][0], sum(1 << sig.index(a) for a in other)
+        w = min(next(w for w in members[d] if not (w ^ w2) & part) for d in _bits(viol))
+        return _lemma_report("lemma3", sig, {
+            "world": sig.render_world(w), "world2": sig.render_world(w2), "side": tag})
     return _lemma_report("lemma3", sig)
 
 
@@ -510,8 +520,8 @@ def check_lemma4(splitting: SyntaxSplitting) -> PostulateReport:
             split = {w & part for w, c in enumerate(class_of) if c != class_of[w & part]}
             groups = sorted(([w for w in range(sig.num_worlds) if w & part == g] for g in split),
                             key=lambda group: [group[0] >> p & 1 for p in reversed(positions)])
-            for c in _by_lowest(side) if groups else ():
-                below = side.class_below[c]
+            order = _by_lowest(side) if groups else []  # no group: no descent
+            for c, (below, _) in zip(order, side._descent(order)):
                 for group in groups:
                     inside = [w for w in group if below >> class_of[w] & 1]
                     outside = [w for w in group if not below >> class_of[w] & 1]

@@ -36,6 +36,12 @@ def world_bits(sig, positives):
     return bits
 
 
+def kept_beyond_init(ps):
+    """What a preferred structure's queries have kept: the attributes it
+    holds beyond those of a fresh structure of the same base."""
+    return set(vars(ps)) - set(vars(type(ps)(ps.base)))
+
+
 def chain_text(n):
     """Belief-base file text of an n-atom chain (a{i+1}|a{i}) with the
     exception (!a{n-1}|a0); its tolerance partition has two layers."""

@@ -49,6 +49,7 @@ REMOVED_METHODS = (
     (preferred.PreferredStructure, "_relation"),
     (preferred.PreferredStructure, "_covers"),
     (preferred.PreferredStructure, "class_order"),
+    (preferred.PreferredStructure, "class_below"),
     (inference.Engine, "_min_rank"),
     (splitting.PartScope, "formula_text"),
     (splitting.PartScope, "group_of"),

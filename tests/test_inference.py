@@ -24,7 +24,7 @@ from systemw.cli import load_belief_base
 from systemw.inference import _p_consequence
 from systemw.splitting import PartScope, generate_split_base
 
-from conftest import chain_queries, chain_text
+from conftest import chain_queries, chain_text, kept_beyond_init
 from oracles import (
     ReferenceEngine,
     assignment_of_bits,
@@ -408,7 +408,8 @@ def test_builds_share_the_conditionals_falsification_masks(example1):
 @settings(max_examples=30, deadline=None)
 def test_w_queries_leave_the_class_index_unbuilt(base_seed, query_seed):
     """A W build and its queries never build the class index; the profile
-    and relation queries build it on first use and match the definition."""
+    and relation queries build it on first use, keep nothing else and match
+    the definition."""
     base = random_consistent_base(base_seed, max_atoms=8, max_conds=6)
     engine = Engine(base, InferenceMode.W)
     ps = engine.preferred_structure
@@ -425,10 +426,11 @@ def test_w_queries_leave_the_class_index_unbuilt(base_seed, query_seed):
             sum(1 << i for i in layer if oracle_falsifies(base[i], asg))
             for layer in layers
         )
-    assert "class_index" in vars(ps) and "class_below" not in vars(ps)
+    assert kept_beyond_init(ps) == {"class_index"}
     below = {w: 0 for w in worlds}
     for w, w2 in oracle_w_preferred(base, range(sig.num_worlds)):
         if w2 in below:
             below[w2] |= 1 << w
     for w in worlds:
         assert ps.below(w) == below[w]
+    assert kept_beyond_init(ps) == {"class_index"}  # no list of masks

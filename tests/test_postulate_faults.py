@@ -47,17 +47,16 @@ ENGINE = SyntaxSplitting.engine
 CONSEQUENCE = Engine.consequence
 
 
-def layered_split_base(seed: int) -> SyntaxSplitting:
-    """Two `random_layered_base` bases over disjoint atoms, split into the
-    two: sides of one to three layers each, often of different lengths."""
-    bases = [random_layered_base(seed * 2 + n, 4, 2, 1 + (seed + n) % 3) for n in (0, 1)]
-    atoms1 = bases[0].signature.atoms
-    atoms2 = tuple(chr(ord(a) + 4) for a in bases[1].signature.atoms)
-    sig = Signature(atoms1 + atoms2)
-    shift = lambda text: re.sub(r"\b([a-d])\b", lambda m: chr(ord(m[1]) + 4), text)
-    conds = [parse_conditional(str(c), sig) for c in bases[0]]
-    conds += [parse_conditional(shift(str(c)), sig) for c in bases[1]]
-    return SyntaxSplitting(BeliefBase(sig, conds), (atoms1, atoms2))
+def layered_split_base(seed: int, parts: int = 2) -> SyntaxSplitting:
+    """`parts` `random_layered_base` bases over disjoint atoms, split into
+    them: sides of one to three layers each, often of different lengths."""
+    bases = [random_layered_base(seed * parts + n, 4, 2, 1 + (seed + n) % 3)
+             for n in range(parts)]
+    shift = lambda n, text: re.sub(r"\b([a-d])\b", lambda m: chr(ord(m[1]) + 4 * n), text)
+    atoms = [tuple(shift(n, a) for a in b.signature.atoms) for n, b in enumerate(bases)]
+    sig = Signature(sum(atoms, ()))
+    conds = [parse_conditional(shift(n, str(c)), sig) for n, b in enumerate(bases) for c in b]
+    return SyntaxSplitting(BeliefBase(sig, conds), atoms)
 
 
 def splittings():
@@ -186,11 +185,19 @@ def test_tv_matches_its_reference(monkeypatch, mode, fault):
 def perturb_relation(monkeypatch, spl, target, change):
     """Set the class relation of the structure of the conditional indices
     `target(spl)` (None for the base) so that below class c lie the classes
-    `change(c, below)`, of the classes truly below it. `below(w)` reads the
-    same relation, so the references see the fault too."""
+    `change(c, below)`, of the classes truly below it: its descent yields
+    the faulted below masks of the classes asked, in the order asked.
+    `below(w)` reads the same descent, so the references see the fault too."""
     faulted = STRUCTURE(spl, target(spl))
-    monkeypatch.setattr(faulted, "class_below",
-                        [change(c, m) for c, m in enumerate(faulted.class_below)])
+    descent = faulted._descent
+
+    def faulted_descent(classes=None):
+        if classes is None:
+            classes = range(len(faulted.class_index[1]))
+        for c, (below, above) in zip(classes, descent(classes)):
+            yield change(c, below), above
+
+    monkeypatch.setattr(faulted, "_descent", faulted_descent)
 
 
 def move_a_world(monkeypatch, spl, target):
@@ -284,6 +291,40 @@ def test_lemmas_2_to_4_match_their_references_under_relation_faults(monkeypatch)
                 compare(LEMMAS[2:], name)
             monkeypatch.undo()
     assert min(failed.get(f"lemma{k}", 0) for k in (2, 3, 4)) >= 10, failed
+
+
+def at_last_class(structure, change):
+    """`change` at the class of `structure` whose lowest world is highest of
+    those with a class below them, and no change at any other class."""
+    members = structure.class_index[2]
+    last = max((c for c, (below, _) in enumerate(structure._descent()) if below),
+               key=lambda c: members[c][0], default=None)
+    return lambda c, below: change(c, below) if c == last else below
+
+
+@pytest.mark.parametrize("early, late", [
+    ((FIRST_SIDE, lose_lowest), (LAST_SIDE, lose_lowest)),  # lemma 2
+    ((FIRST_SIDE, gain_own_class), (LAST_SIDE, gain_own_class)),  # lemma 3, part 1 first
+    ((SECOND_SIDE, gain_own_class), (LAST_SIDE, gain_own_class)),  # lemma 3, part 2 only
+])
+def test_lemmas_2_and_3_report_the_first_view_that_fails(monkeypatch, early, late):
+    # A side of the first view is faulted at one late class, a side of the
+    # last view at every class: lemmas 2 and 3 descend the base once for all
+    # views, and still report the first view's failure, as their references
+    # do, where the last view fails at a lower world.
+    earlier = 0  # failures of the first view reported over the last view's
+    for spl in map(layered_split_base, (3, 4), (3, 3)):  # of 10 atoms each
+        target, change = early
+        change = at_last_class(STRUCTURE(spl, target(spl)), change)
+        perturb_relation(monkeypatch, spl, *late)
+        alone = [check(spl) for check, _ in LEMMAS[:2]]
+        perturb_relation(monkeypatch, spl, target, change)
+        for (check, reference), last in zip(LEMMAS[:2], alone):
+            got, want = check(spl), reference(spl)
+            assert (got.line(), got.to_dict()) == (want.line(), want.to_dict())
+            earlier += not last.passed and got.to_dict() != last.to_dict()
+        monkeypatch.undo()
+    assert earlier >= 2, earlier
 
 
 # --- witness replays -------------------------------------------------------------

@@ -13,7 +13,7 @@ from systemw import (
 from systemw.cli import load_belief_base
 from systemw.preferred import _hasse
 
-from conftest import chain_text, world_bits
+from conftest import chain_text, kept_beyond_init, world_bits
 from oracles import (
     above_masks,
     export_edges,
@@ -244,7 +244,8 @@ def test_exports_sorted_and_match_oracle(seed):
 @settings(max_examples=40, deadline=None)
 def test_profiles_same_before_and_after_relation(seed):
     """`profile_bits` reads the class index alone: the order of its profiles
-    is the oracle's, before `below` fills in the class relation and after."""
+    is the oracle's, before `below` descends a class and after, and `below`
+    keeps nothing beside the class index."""
     base = random_consistent_base(seed, max_atoms=6, max_conds=6)
     ps = PreferredStructure(base)
     n = base.signature.num_worlds
@@ -256,9 +257,9 @@ def test_profiles_same_before_and_after_relation(seed):
         return [[profile_less(p, q) for q in profiles] for p in profiles]
 
     before = order()
-    assert "class_below" not in vars(ps)  # the relation is not built yet
+    assert kept_beyond_init(ps) == {"class_index"}
     ps.below(0)
-    assert "class_below" in vars(ps)
+    assert kept_beyond_init(ps) == {"class_index"}  # no list of masks
     assert before == want and order() == want
 
 
@@ -291,23 +292,40 @@ def test_classes_come_after_the_classes_below(seed, vars_per_part):
             assert all(class_of[w2] < c for w2 in set_bits(ps.below(worlds[0])))
 
 
+def small_bases(seed, vars_per_part):
+    """A random, a layered and a generated split base of up to 8 atoms."""
+    return [random_consistent_base(seed, max_atoms=8, max_conds=6),
+            random_layered_base(seed, max_atoms=8, max_conds=4, min_layers=2),
+            generate_split_base(vars_per_part, 3, seed)[0]]
+
+
 @given(st.integers(0, 10**6), st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_descent_halves_are_transposes(seed, vars_per_part):
-    """The above masks the descent yields are exactly the transpose of
-    `class_below`, on random, layered and generated split bases of up to 8
-    atoms; the exports, which read only the above masks, leave `class_below`
-    unbuilt."""
-    bases = [random_consistent_base(seed, max_atoms=8, max_conds=6),
-             random_layered_base(seed, max_atoms=8, max_conds=4, min_layers=2),
-             generate_split_base(vars_per_part, 3, seed)[0]]
-    for base in bases:
+    """The above masks the descent yields are exactly the transpose of its
+    below masks, on random, layered and generated split bases of up to 8
+    atoms; the exports keep nothing beside the class index."""
+    for base in small_bases(seed, vars_per_part):
         ps = PreferredStructure(base)
         ps.to_dot(), list(ps.to_tsv()), list(ps.pairs())
-        assert "class_below" not in vars(ps)
-        up, down = [above for _, above in ps._descent()], ps.class_below
-        assert up == [sum(1 << c for c, below in enumerate(down) if below >> d & 1)
-                      for d in range(len(down))]
+        assert kept_beyond_init(ps) == {"class_index"}
+        down, up = zip(*ps._descent())
+        assert list(up) == [sum(1 << c for c, below in enumerate(down) if below >> d & 1)
+                            for d in range(len(down))]
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.lists(st.integers(0, 63), max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_descent_of_chosen_classes(seed, vars_per_part, picks):
+    """The descent of a list of classes, repeats and the empty list
+    included, yields exactly the full descent's pairs for those classes, in
+    the order of the list, on random, layered and generated split bases of
+    up to 8 atoms."""
+    for base in small_bases(seed, vars_per_part):
+        ps = PreferredStructure(base)
+        full = list(ps._descent())
+        classes = [p % len(full) for p in picks]
+        assert list(ps._descent(classes)) == [full[c] for c in classes]
 
 
 TRIE_BASES = (

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,9 +341,9 @@ class TestLemmas:
         descents, asked = [], []
         descent, below = PreferredStructure._descent, PreferredStructure.below
 
-        def counted_descent(self):
-            descents.append(self)
-            return descent(self)
+        def counted_descent(self, classes=None):
+            descents.append(self)  # a descent counts once it is read
+            yield from descent(self, classes)
 
         def counted_below(self, w):
             asked.append(w)
@@ -349,18 +351,48 @@ class TestLemmas:
 
         monkeypatch.setattr(PreferredStructure, "_descent", counted_descent)
         monkeypatch.setattr(PreferredStructure, "below", counted_below)
-        _, spl = generate_split_base(3, 2, 5)
-        for check in (check_lemma2, check_lemma3, check_lemma4):
-            assert check(spl).passed
-        assert len(descents) == 3  # the base and its two sides
+        sig = Signature(list("abcdef"))
+        three = detect_splitting(BeliefBase(sig, [parse_conditional(text, sig)
+                                                  for text in ("(b|a)", "(d|c)", "(f|e)")]))
+        assert len(three.views) == 3
+        for spl in (generate_split_base(3, 2, 5)[1], three):
+            base = spl.structure()
+            sides = [spl.structure(idxs) for view in spl.views for _, idxs in view]
+            # Lemmas 2 and 3 each descend every view's sides and then the
+            # base once, for all views; lemma 4 finds no group of a side's
+            # part in two of its classes.
+            for check, want in ((check_lemma2, sides + [base]), (check_lemma3, sides + [base]),
+                                (check_lemma4, [])):
+                descents.clear()
+                assert check(spl).passed
+                assert descents == want, check.__name__
         assert asked == []
         # A base of one part has no view to compare: nothing is built.
         sig = Signature(["a", "b"])
         spl = detect_splitting(BeliefBase(sig, [parse_conditional("(b|a)", sig)]))
         assert spl.views == ()
+        descents.clear()
         for check in (check_lemma2, check_lemma3, check_lemma4):
             assert check(spl).passed
-        assert len(descents) == 3 and "class_index" not in vars(spl.structure())
+        assert descents == [] and "class_index" not in vars(spl.structure())
+
+    @pytest.mark.parametrize("seed", [0, 1])  # 10,712 and 9,476 classes
+    def test_lemmas_2_and_3_hold_no_class_relation(self, seed):
+        # Lemmas 2 and 3 read the base's below masks as the descent yields
+        # them: with the class indexes built, their peak stays under half of
+        # what those masks take together.
+        _, spl = generate_split_base(8, 8, seed)
+        ps = spl.structure()
+        for structure in [ps] + [spl.structure(idxs) for _, idxs in spl.views[0]]:
+            structure.class_index
+        masks = sum(sys.getsizeof(below) for below, _ in ps._descent())
+        tracemalloc.start()
+        try:
+            assert check_lemma2(spl).passed and check_lemma3(spl).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < masks / 2, (peak, masks)
 
 
 class TestDiTv:
