@@ -25,8 +25,7 @@ from .logic import (
     FormulaSyntaxError,
     Signature,
     SignatureError,
-    _disjunct_table,
-    _load_conditional,
+    parse_conditional,
     parse_formula,
 )
 from .preferred import PreferredStructure
@@ -60,10 +59,9 @@ def load_belief_base(text: str, warn=lambda w: print(f"warning: {w}")) -> Belief
                 sig = Signature(atoms)
             except SignatureError as e:
                 raise BeliefBaseFormatError(f"line {lineno}: {e}") from e
-            table = _disjunct_table(sig)  # this load's disjuncts, dropped with it
             continue
         try:
-            cond = _load_conditional(line, sig, table)
+            cond = parse_conditional(line, sig)
         except FormulaSyntaxError as e:
             raise BeliefBaseFormatError(f"line {lineno}: {e}") from e
         if not cond.antecedent.satisfiable():
@@ -74,6 +72,9 @@ def load_belief_base(text: str, warn=lambda w: print(f"warning: {w}")) -> Belief
         conditionals.append(cond)
     if sig is None:
         raise BeliefBaseFormatError("missing signature line")
+    # The memo now holds the lines' disjuncts, which queries seldom ask; kept,
+    # their masks would live as long as the base.
+    sig._formulas.clear()
     base = BeliefBase(sig, conditionals)
     # stderr is reserved for faults (exit 1); warnings go to stdout
     for w in warnings:
@@ -82,7 +83,7 @@ def load_belief_base(text: str, warn=lambda w: print(f"warning: {w}")) -> Belief
 
 
 def _load_file(path: str, **options) -> BeliefBase:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
         return load_belief_base(fh.read(), **options)
 
 

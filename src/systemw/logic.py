@@ -23,14 +23,12 @@ The memo, and the C(A) cache of every `Engine`, hold at most
 A full cache clears itself and fills again; `dict.clear` is atomic, so
 concurrent queries stay safe.
 
-A file's lines are parsed once each, but a base that splits is written as a
-DNF over each part, so its disjuncts repeat from line to line. While
-`cli.load_belief_base` reads one file, a `_DisjunctTable` keeps the (node,
-mask, atoms) of each disjunct it has parsed, and a DNF half is read from it
-disjunct by disjunct. The table is not kept on the signature: it lives for
-one load. It holds at most LOAD_TABLE_BYTES and is never cleared; a half
-that would not fit is parsed whole, and so is every half of a signature
-below LOAD_TABLE_MIN_ATOMS.
+A base that splits is written as a DNF over each part, so its disjuncts
+repeat from line to line. `parse_conditional` reads a DNF half disjunct by
+disjunct through the same memo, while the memo has room for all of the
+half's disjuncts; any other half is parsed whole. `cli.load_belief_base`
+clears the memo after a file's last line, so a load's disjuncts go with it.
+A conditional's atoms are collected from its trees on first use.
 """
 
 from __future__ import annotations
@@ -44,18 +42,6 @@ MAX_ATOMS = 24
 # value objects, and a memoized formula's tree.
 CACHE_BYTES = 128 << 20
 MIN_ENTRY_BYTES = 512
-# Bytes the disjunct table of one file load may hold (see the module
-# docstring), each entry counted as its mask, 4 bytes per 30 bits as CPython
-# stores an int, plus MIN_ENTRY_BYTES. It holds every disjunct of a two-part
-# split base up to 16 atoms (512 entries of 9,252 bytes), and no half of one
-# at 18 atoms (about 256 entries of 35,468 bytes): no later half would fit to
-# read them, so taking one would add 8 MiB to the load and save nothing.
-LOAD_TABLE_BYTES = 6 << 20
-# The fewest atoms over which a load keeps a disjunct table. Below it a file
-# loads in well under a millisecond, so the table saves little (a 6-atom
-# split base: 0.26 against 0.34 ms), while its allocations move the cyclic
-# collector's runs into the engine builds that follow a load.
-LOAD_TABLE_MIN_ATOMS = 7
 
 _ATOM_RE = re.compile(r"\A[a-z][a-z0-9_]*\Z")
 
@@ -105,7 +91,9 @@ class Signature:
         # atoms are added by `_literal` on first use.
         self._literals = {"top": (_TOP, self.full_mask), "bot": (_BOT, 0)}
         self._negated = {"top": (Neg(_TOP), 0), "bot": (Neg(_BOT), self.full_mask)}
-        self._formulas: dict = {}  # formula text -> (node, mask), by `parse_formula`
+        # Formula text -> (node, mask), by `parse_formula` and the DNF halves
+        # of `parse_conditional`.
+        self._formulas: dict = {}
         # A mask's bytes as CPython stores an int: 4 per 30-bit digit.
         self._mask_bytes = (self.num_worlds + 29) // 30 * 4
         self.cache_entries = CACHE_BYTES // max(2 * self._mask_bytes, MIN_ENTRY_BYTES)
@@ -266,13 +254,23 @@ class Disj(Node):
 
 
 def atoms_of(node: Node) -> frozenset:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Neg):
-        return atoms_of(node.child)
-    if isinstance(node, (Conj, Disj)):
-        return frozenset().union(*(atoms_of(c) for c in node.children))
-    return frozenset()
+    """The atoms a tree mentions, walked without recursion. A node that the
+    tree shares (an interned literal, a memoized disjunct) is walked once."""
+    names = set()
+    seen = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Var):
+            names.add(node.name)
+        elif isinstance(node, Neg):
+            stack.append(node.child)
+        elif isinstance(node, (Conj, Disj)):
+            stack.extend(node.children)
+    return frozenset(names)
 
 
 def _node_text(node: Node) -> str:
@@ -303,8 +301,8 @@ class Formula:
     mask comes from whoever built the tree (the parser folds it in as it
     reads), and is trusted: the tree is never walked for it. So are the
     atoms the tree mentions, when the builder knows them, as
-    `parse_conditional` and `PartScope.formula` do; otherwise they are
-    collected from the tree on first use."""
+    `PartScope.formula` does; otherwise they are collected from the tree on
+    first use."""
 
     __slots__ = ("signature", "ast", "_mask", "_atoms")
 
@@ -341,8 +339,8 @@ class Formula:
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|[!(),;&]|\S")
 
 # Deepest nesting of '(' and '!' a formula may have. The parser keeps its
-# open groups on a list, but `_node_text` and `atoms_of` recurse once per
-# level, and far deeper input would exhaust Python's recursion limit there.
+# open groups on a list, but `_node_text` recurses once per level, and far
+# deeper input would exhaust Python's recursion limit there.
 MAX_NESTING = 100
 
 
@@ -377,7 +375,7 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 def _parse(text: str, sig: Signature, toks: list) -> tuple:
     """(node, mask) of a formula text, not memoized. `toks` is the text's
-    `_TOKEN_RE.findall`, which the caller keeps: the parse appends None.
+    `_TOKEN_RE.findall`, to which the parse appends None.
 
     One loop over the tokens. The open disjunction and conjunction of the
     innermost group and its pending '!'s are locals; '(' pushes them and
@@ -507,74 +505,15 @@ class Conditional:
 
 def parse_conditional(text: str, sig: Signature) -> Conditional:
     """Parse '(B|A)' with the consequent before the bar. Fault positions
-    count from the opening parenthesis, leading blanks removed."""
-    return _load_conditional(text, sig, None)
+    count from the opening parenthesis, leading blanks removed.
 
-
-class _DisjunctTable:
-    """Disjunct text -> (node, mask, atoms) over one signature, for the lines
-    of one file: a base that splits is written as a DNF over each part, so
-    the same disjuncts come back line after line. It holds at most `room`
-    entries, LOAD_TABLE_BYTES as counted there, and is never cleared: a
-    half is read through it only while it has room for all of the half's
-    disjuncts; a half it has no room for is parsed whole. It is dropped with
-    the load."""
-
-    __slots__ = ("sig", "entries", "atom_sets", "room")
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.entries = {}
-        # Each stored disjunct's atoms, one object per distinct set: a half
-        # whose disjuncts share their atoms then takes no union.
-        self.atom_sets = {}
-        self.room = LOAD_TABLE_BYTES // (sig._mask_bytes + MIN_ENTRY_BYTES)
-
-    def half(self, text: str) -> tuple | None:
-        """(node, mask, atoms) of a half without '(' or ')' that has a ';',
-        read disjunct by disjunct: the tree, mask and atoms the general
-        parser gives the whole half. None for any other half, for a half
-        with more disjuncts than the table has room left, and for a half
-        with a fault, which the caller parses whole for the parser's own
-        error."""
-        entries = self.entries
-        semicolons = text.count(";")
-        if (not semicolons or "(" in text or ")" in text
-                or len(entries) + semicolons >= self.room):
-            return None
-        sig = self.sig
-        nodes = []
-        mask = 0
-        atoms = last = frozenset()
-        for d in text.split(";"):
-            hit = entries.get(d)
-            if hit is None:
-                toks = _TOKEN_RE.findall(d)
-                try:
-                    node, dmask = _parse(d, sig, toks)
-                except FormulaSyntaxError:
-                    return None
-                datoms = frozenset(toks).intersection(sig._index)
-                datoms = self.atom_sets.setdefault(datoms, datoms)
-                entries[d] = (node, dmask, datoms)
-            else:
-                node, dmask, datoms = hit
-            nodes.append(node)
-            mask |= dmask
-            if datoms is not last:
-                last = datoms
-                atoms = atoms | datoms
-        return Disj(tuple(nodes)), mask, atoms
-
-
-def _disjunct_table(sig: Signature) -> _DisjunctTable | None:
-    """The table for one load over `sig`, or None below LOAD_TABLE_MIN_ATOMS."""
-    return _DisjunctTable(sig) if sig.num_atoms >= LOAD_TABLE_MIN_ATOMS else None
-
-
-def _load_conditional(text: str, sig: Signature, table: _DisjunctTable | None) -> Conditional:
-    """`parse_conditional`, reading each half through `table` when one is
-    given (see `_DisjunctTable.half`) and parsing it whole otherwise."""
+    A half without '(' or ')' that has a ';' is read disjunct by disjunct
+    through the signature's memo, while the memo has room for all of its
+    disjuncts: a base that splits is written as a DNF over each part, so
+    the same disjuncts come back line after line. It gets the tree and mask
+    the parser gives the whole half. Any other half, and a half with a
+    fault in any disjunct, is parsed whole and not memoized, so every fault
+    is the parser's own."""
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise FormulaSyntaxError("conditional must be enclosed in parentheses", 0)
@@ -584,23 +523,36 @@ def _load_conditional(text: str, sig: Signature, table: _DisjunctTable | None) -
         # Point at the second bar, or at the closing parenthesis if none.
         at = s.find("|", bar + 1) if bars else len(s) - 1
         raise FormulaSyntaxError("conditional needs exactly one '|'", at)
+    memo = sig._formulas
     halves = []
     # The antecedent is parsed first: when both halves have a fault, its
-    # fault is the one reported. The halves bypass the signature's memo,
-    # which keeps the texts that queries ask: in a file it is the disjuncts
-    # that repeat, and `table` serves them. A half parsed whole gets its
-    # atom tokens as its atoms.
+    # fault is the one reported.
     for start, end in ((bar + 1, len(s) - 1), (1, bar)):
         half = s[start:end]
-        parsed = table.half(half) if table is not None else None
+        parsed = None
+        semicolons = half.count(";")
+        if (semicolons and "(" not in half and ")" not in half
+                and len(memo) + semicolons < sig.cache_entries):
+            nodes = []
+            mask = 0
+            for d in half.split(";"):
+                hit = memo.get(d)
+                if hit is None:
+                    try:
+                        hit = _parse(d, sig, _TOKEN_RE.findall(d))
+                    except FormulaSyntaxError:
+                        break
+                    memo[d] = hit
+                nodes.append(hit[0])
+                mask |= hit[1]
+            else:
+                parsed = Disj(tuple(nodes)), mask
         if parsed is None:
-            toks = _TOKEN_RE.findall(half)
             try:
-                node, mask = _parse(half, sig, toks)
+                parsed = _parse(half, sig, _TOKEN_RE.findall(half))
             except FormulaSyntaxError as e:
                 e.position += start  # count from the opening parenthesis
                 raise
-            parsed = node, mask, frozenset(toks).intersection(sig._index)
         halves.append(Formula(sig, *parsed))
     return Conditional(*halves)
 

@@ -34,8 +34,19 @@ from systemw.logic import (
     Top,
     UnknownAtomError,
     Var,
-    atoms_of,
 )
+
+
+def atoms_of(node) -> frozenset:
+    """The atoms a syntax tree mentions, by a recursive walk that visits a
+    shared subtree once per parent: the reference for `logic.atoms_of`."""
+    if isinstance(node, Var):
+        return frozenset((node.name,))
+    if isinstance(node, Neg):
+        return atoms_of(node.child)
+    if isinstance(node, (Conj, Disj)):
+        return frozenset().union(*(atoms_of(c) for c in node.children))
+    return frozenset()
 
 
 def eval_node(node, assignment: dict) -> bool:

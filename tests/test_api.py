@@ -30,6 +30,11 @@ REMOVED_FUNCTIONS = (
     "_split_structures",
     "_partition_pairs",
     "_lower_covers",
+    "_DisjunctTable",
+    "_disjunct_table",
+    "_load_conditional",
+    "LOAD_TABLE_BYTES",
+    "LOAD_TABLE_MIN_ATOMS",
 )
 REMOVED_METHODS = (
     (logic.Conditional, "evaluate"),

@@ -58,6 +58,17 @@ class TestLoad:
         base = load_belief_base("# c\nsignature: a\n\n(a|top) # trailing\n")
         assert len(base) == 1
 
+    @pytest.mark.parametrize("text", [EXAMPLE1_TEXT, "signature: a, b\n(b|a)\n"])
+    @pytest.mark.parametrize("command", ["check", "partition", "split", "order"])
+    def test_a_byte_order_mark_is_not_read_as_text(self, capsys, tmp_path, text, command):
+        # Some editors start a UTF-8 file with the byte-order mark U+FEFF.
+        plain, marked = tmp_path / "plain.cb", tmp_path / "marked.cb"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want = run(capsys, command, str(plain))
+        assert want[0] == 0 and want[1] and want[2] == ""
+        assert run(capsys, command, str(marked)) == want
+
     def test_unsatisfiable_antecedent_warns_on_stdout(self, capsys, tmp_path):
         p = tmp_path / "warn.cb"
         p.write_text("signature: a\n(a|bot)\n")
@@ -406,26 +417,35 @@ class TestPostulates:
         assert (code, err) == (0, "")
         assert [line.split(" [")[0] for line in out.splitlines()] == ["di: pass", "tv: pass"]
 
-    def test_loading_and_splitting_never_walk_a_tree(self, capsys, tmp_path,
-                                                     monkeypatch):
-        # A loaded conditional knows its atoms from the parse, so neither
-        # detection nor the checks' witnesses collect them from a tree.
+    def test_only_splitting_walks_a_tree_for_atoms(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # A load computes no atoms, so the commands that split nothing never
+        # collect them; detection collects them from the loaded trees.
         def refuse(node):
             raise AssertionError("atoms_of called")
 
-        monkeypatch.setattr(logic, "atoms_of", refuse)
         path = tmp_path / "three.cb"
         path.write_text("signature: a, x, b, y, c\n"
                         "(b|a)\n(!(y;!x)|x,x)\n(c|c)\n(top|top)\n(!x|y)\n")
+        file = str(path)
+        with monkeypatch.context() as patched:
+            patched.setattr(logic, "atoms_of", refuse)
+            for args in (["check", file], ["partition", file], ["infer", file, "a", "b"],
+                         ["order", file], ["order", file, "--format", "tsv"]):
+                code, out, err = run(capsys, *args)
+                assert (code, err) == (0, "") and out
         with open(path) as fh:
             spl = detect_splitting(load_belief_base(fh.read()))
         assert spl.parts == (("a", "b"), ("x", "y"), ("c",))
-        assert run(capsys, "split", str(path)) == (
+        assert run(capsys, "split", file) == (
             0, "{a,b}: (b|a), (top|top)\n{x,y}: (!(y;!x)|x,x), (!x|y)\n{c}: (c|c)\n", "")
-        for mode in ("w", "z"):
-            code, out, err = run(capsys, "postulates", str(path), "--mode", mode,
-                                 "--checks", "rel,ind")
-            assert code in (0, 2) and out.startswith("rel: ") and err == ""
+        assert run(capsys, "postulates", file, "--mode", "w", "--checks", "rel,ind") == (
+            0, "rel: pass [mode=w exhaustive<= 2 atoms seed=0 instances=120528]\n"
+               "ind: pass [mode=w exhaustive<= 2 atoms seed=0 instances=1424576]\n", "")
+        assert run(capsys, "postulates", file, "--mode", "z", "--checks", "rel,ind") == (
+            2, "rel: pass [mode=z exhaustive<= 2 atoms seed=0 instances=120528]\n"
+               "ind: FAIL [mode=z exhaustive<= 2 atoms seed=0 instances=9668] witness: "
+               "A=!a,!b;a,!b B=!a,!b D=x,y,c without_d=True with_d=False\n", "")
 
     def test_repeated_check_names_run_once(self, capsys, example1_file,
                                            monkeypatch):

@@ -16,6 +16,7 @@ from systemw.logic import (
     Conj,
     Disj,
     FormulaSyntaxError,
+    MAX_NESTING,
     Neg,
     Signature,
     SignatureError,
@@ -23,7 +24,6 @@ from systemw.logic import (
     UnknownAtomError,
     Var,
     _node_text,
-    atoms_of,
     parse_conditional,
     parse_formula,
 )
@@ -31,6 +31,7 @@ from systemw.logic import (
 from conftest import world_bits
 from oracles import (
     all_assignments,
+    atoms_of,
     eval_node,
     node_mask,
     oracle_model_bits,
@@ -265,14 +266,51 @@ def test_parsed_mask_matches_tree_walk(sig_text):
 @example((Signature(["a"]), "top"), (Signature(["a"]), "!bot"))
 @settings(max_examples=300, deadline=None)
 def test_conditional_halves_carry_the_atoms_of_their_trees(first, second):
-    """`parse_conditional` gives each half the atoms of its tree, read off
-    the tokens, so the tree is never walked for them."""
+    """`parse_conditional` computes no atoms: each half collects the atoms
+    of its tree on first use, and keeps them."""
     sig = max(first[0], second[0], key=lambda s: s.num_atoms)  # both are prefixes
     c = parse_conditional(f"({first[1]}|{second[1]})", sig)
     for half in (c.consequent, c.antecedent):
-        assert half._atoms is not None
+        assert half._atoms is None
         assert half.atoms() == atoms_of(half.ast)
         assert type(half.atoms()) is frozenset
+        assert half.atoms() is half._atoms
+
+
+@st.composite
+def shared_tree(draw):
+    """A syntax tree built bottom up from a pool of nodes, each new node
+    taking its children from the pool, so that subtrees are shared, nested
+    up to MAX_NESTING levels."""
+    pool = [(Var(name), 0) for name in ("a", "b", "c1", "x_2")] + [(Top(), 0), (Bot(), 0)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["neg", "conj", "disj", "deep"]))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=4))
+        children = [pool[-1 - k] for k in picks]  # the newest nodes first
+        depth = max(d for _, d in children)
+        if depth == MAX_NESTING:
+            continue
+        if kind == "neg":
+            pool.append((Neg(children[0][0]), depth + 1))
+        elif kind == "deep":  # '!'s down to the deepest nesting allowed
+            node, d = children[0]
+            for _ in range(draw(st.integers(1, MAX_NESTING - d))):
+                node, d = Neg(node), d + 1
+            pool.append((node, d))
+        else:
+            node = (Conj if kind == "conj" else Disj)(tuple(n for n, _ in children))
+            pool.append((node, depth + 1))
+    return pool[-1][0]
+
+
+@given(shared_tree())
+@example(Neg(Conj((Var("a"), Disj((Var("b"), Var("c1")))))))
+@settings(max_examples=300, deadline=None)
+def test_atoms_of_walks_a_tree_as_the_recursive_reference_does(tree):
+    """The iterative `atoms_of`, which walks a shared node once, collects
+    the atoms the recursive reference collects."""
+    assert logic.atoms_of(tree) == atoms_of(tree)
+    assert type(logic.atoms_of(tree)) is frozenset
 
 
 def parse_outcome(parse, text, sig):

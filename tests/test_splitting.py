@@ -27,7 +27,6 @@ from systemw import (
     tolerance_partition,
 )
 from systemw import splitting
-from systemw.logic import atoms_of
 from systemw.preferred import PreferredStructure
 from systemw.splitting import (
     MAX_SCOPE_BITS,
@@ -37,6 +36,7 @@ from systemw.splitting import (
 from systemw.tolerance import TolerancePartition
 
 from oracles import (
+    atoms_of,
     components,
     conjoin,
     node_mask,
